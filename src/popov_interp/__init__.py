@@ -15,7 +15,6 @@ from .mib_engine import (
     iterative_mib,
     iterative_weak_popov,
     kernel_oracle,
-    linear_algebra_mib,
     minimal_interpolation_basis,
 )
 from .polymat import (
@@ -55,7 +54,6 @@ __all__ = [
     "iterative_weak_popov",
     "kernel_oracle",
     "known_mindeg_mib",
-    "linear_algebra_mib",
     "matmul",
     "minimal_interpolation_basis",
     "pivot_profile",

@@ -383,7 +383,17 @@ def _x_plus_c_power(c: int, n: int, field: Modulus) -> Poly:
     powers = [1] * (n + 1)
     for t in range(1, n + 1):
         powers[t] = powers[t - 1] * c % p
-    return poly_trim([binom_mod(n, t, p) * powers[n - t] % p for t in range(n + 1)])
+    if n >= p:
+        binoms = [binom_mod(n, t, p) for t in range(n + 1)]
+    else:
+        # C(n, t+1) = C(n, t) * (n - t) / (t + 1); every t + 1 <= n < p is invertible
+        inv = [0, 1] + [0] * (n - 1)
+        for t in range(2, n + 1):
+            inv[t] = (p - p // t) * inv[p % t] % p
+        binoms = [1] * (n + 1)
+        for t in range(n):
+            binoms[t + 1] = binoms[t] * (n - t) % p * inv[t + 1] % p
+    return poly_trim([b * powers[n - t] % p for t, b in enumerate(binoms)])
 
 
 def taylor_shift(a: Poly, x: int, field: Modulus) -> Poly:

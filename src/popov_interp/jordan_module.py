@@ -2,17 +2,16 @@
 
 A Jordan matrix J, given as eigenvalue/block-size data, turns row vectors
 of length sigma into a module over the polynomial ring via
-``p . e = e * p(J)``.  Identifying each block with a truncated power
-series, the action of p on block j with eigenvalue x_j is
-``p(X + x_j) * f_j  mod  X**(size_j)``, which is how everything here is
-computed; blocks are upper bidiagonal and act on row vectors from the
-right.
+``p . e = e * p(J)``.  Blocks are upper bidiagonal and act on row vectors
+from the right, so multiplying by X on a block with eigenvalue x is
+``w[t] = x*v[t] + v[t-1]`` with no carry across a block start.
 
-Residuals ``P . E`` of a polynomial matrix against a module matrix are
-computed by partial column linearization: high-degree columns of P are
-split into chunks of degree below ceil(sigma/m) against an
-expansion-compression gadget, which keeps every truncated product small.
-A direct evaluation path is kept as a bit-identical fallback and oracle.
+Residuals ``P . E`` of a polynomial matrix against a module matrix use
+``p . e = sum_k p_k * (X**k . e)``: the coefficients of P times the
+stacked Krylov rows ``X**k . E_j``, one modular matrix product.  The
+direct path, which identifies each block with a truncated power series
+and computes ``p(X + x_j) * f_j  mod  X**(size_j)``, shares no code with
+it and serves as the independent verification oracle.
 """
 
 from __future__ import annotations
@@ -21,9 +20,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
 
-from .ff_poly import Modulus, Poly, poly_shift_up, poly_trim
-from .ff_poly import poly_mul_trunc, taylor_shift
-from .polymat import PolyMat, column_degree
+import numpy as np
+
+from . import linalg
+from .ff_poly import Modulus, Poly, poly_mul_trunc, poly_trim, taylor_shift
+from .polymat import PolyMat
 
 Block = Tuple[int, int]  # (eigenvalue, size)
 ModuleRows = List[List[int]]
@@ -134,11 +135,14 @@ def apply_poly_row(pl: Poly, row: Sequence[int], jordan: JordanSpec, field: Modu
         raise ValueError("row length does not match the Jordan matrix")
     p = field.p
     out = [0] * len(row)
+    shifted = {}  # pl(X + x), once per eigenvalue group
     for (x, n), off in zip(jordan.blocks, jordan.offsets):
         f = poly_trim([c % p for c in row[off : off + n]])
         if not f or not pl:
             continue
-        g = poly_mul_trunc(taylor_shift(pl, x, field), f, n, field)
+        if x not in shifted:
+            shifted[x] = taylor_shift(pl, x, field)
+        g = poly_mul_trunc(shifted[x], f, n, field)
         out[off : off + len(g)] = g
     return out
 
@@ -146,25 +150,6 @@ def apply_poly_row(pl: Poly, row: Sequence[int], jordan: JordanSpec, field: Modu
 def apply_poly(pl: Poly, rows: ModuleRows, jordan: JordanSpec, field: Modulus) -> ModuleRows:
     """The module action of pl on every row of E."""
     return [apply_poly_row(pl, r, jordan, field) for r in rows]
-
-
-def x_minus_action(row: List[int], jordan: JordanSpec, x0: int, field: Modulus,
-                   start_block: int = 0) -> None:
-    """In-place action of (X - x0) on a row, from start_block onward.
-
-    On a block with eigenvalue x this is multiplication by (X + x - x0)
-    truncated to the block size: an O(size) bidiagonal update.
-    """
-    p = field.p
-    blocks = jordan.blocks
-    offsets = jordan.offsets
-    for b in range(start_block, len(blocks)):
-        x, n = blocks[b]
-        off = offsets[b]
-        c = (x - x0) % p
-        for t in range(off + n - 1, off, -1):
-            row[t] = (row[t - 1] + c * row[t]) % p
-        row[off] = c * row[off] % p
 
 
 def residual_direct(pmat: PolyMat, rows: ModuleRows, jordan: JordanSpec) -> ModuleRows:
@@ -187,52 +172,65 @@ def residual_direct(pmat: PolyMat, rows: ModuleRows, jordan: JordanSpec) -> Modu
     return out
 
 
-def _expand_columns(pmat: PolyMat, chunk: int, alphas: Sequence[int]) -> List[List[Poly]]:
-    """Split column i of P into alphas[i] chunks of degree < chunk."""
-    rows = []
-    for prow in pmat.rows:
-        out = []
-        for j, a in enumerate(alphas):
-            e = prow[j]
-            for k in range(a):
-                out.append(poly_trim(e[k * chunk : (k + 1) * chunk]))
-        rows.append(out)
-    return rows
+# about how many Krylov entries (powers x rows x sigma) residual holds at once
+_KRYLOV_SLAB = 1 << 21
+
+
+def x_powers(rows, jordan: JordanSpec, field: Modulus, d: int, stride: int = 1) -> np.ndarray:
+    """The int64 array K with K[k, j] = X**(k*stride) . rows[j], 0 <= k <= d."""
+    p = field.p
+    sigma = jordan.total
+    v = np.array(rows, dtype=np.int64).reshape(len(rows), sigma) % p
+    xs = np.repeat(
+        np.array([x % p for x, _ in jordan.blocks], dtype=np.int64),
+        [n for _, n in jordan.blocks],
+    )
+    carry = np.ones(sigma, dtype=np.int64)
+    carry[np.array(jordan.offsets, dtype=np.intp)] = 0
+    carry = carry[1:]
+    out = np.empty((d + 1,) + v.shape, dtype=np.int64)
+    out[0] = v
+    for k in range(1, d + 1):
+        for _ in range(stride):
+            # p < 2**31, so x*v[t] + v[t-1] stays below 2**62 + 2**31
+            w = v * xs
+            w[:, 1:] += v[:, :-1] * carry
+            v = np.remainder(w, p, out=w)
+        out[k] = v
+    return out
 
 
 def residual(pmat: PolyMat, rows: ModuleRows, jordan: JordanSpec) -> ModuleRows:
-    """P . E through partial column linearization.
+    """P . E as one Krylov-matrix product.
 
-    Columns of P are expanded into chunks of degree < ceil(sigma/m); each
-    chunk row of the expanded E is a monomial action X**(k*chunk) . E_j,
-    and the blocked truncated products of the two expansions reassemble
-    the residual exactly.  Falls back to direct evaluation when sigma < m
-    or the matrix has no high-degree column; both paths agree bit for
-    bit.
+    With P packed as an (nrows, d*m) coefficient array, entry (i, k*m + j)
+    holding the coefficient of X**k in p_ij, the residual is that array
+    times the stacked rows ``X**k . E_j`` from ``x_powers``, reduced mod
+    p.  Long entries are taken in slabs of powers to bound memory.
     """
     field = pmat.field
+    p = field.p
     m = pmat.ncols
     if m != len(rows):
         raise ValueError("dimension mismatch between P and E")
     sigma = jordan.total
-    if sigma < m:
-        return residual_direct(pmat, rows, jordan)
-    chunk = -(-sigma // m)  # ceil
-    alphas = [
-        int(d) // chunk + 1 if isinstance(d, int) and d > 0 else 1
-        for d in column_degree(pmat)
-    ]
-    if all(a == 1 for a in alphas):
-        return residual_direct(pmat, rows, jordan)
-    expanded = _expand_columns(pmat, chunk, alphas)
-    ebar: ModuleRows = []
-    for j, a in enumerate(alphas):
-        for k in range(a):
-            if k == 0:
-                ebar.append(list(rows[j]))
-            else:
-                ebar.append(
-                    apply_poly_row(poly_shift_up([1], k * chunk), rows[j], jordan, field)
-                )
-    pbar = PolyMat(field, expanded)
-    return residual_direct(pbar, ebar, jordan)
+    d = max((len(e) for prow in pmat.rows for e in prow), default=0)
+    coeffs = np.zeros((pmat.nrows, d, m), dtype=np.int64)
+    for i, prow in enumerate(pmat.rows):
+        for j, e in enumerate(prow):
+            coeffs[i, : len(e), j] = e
+    coeffs %= p
+    out = np.zeros((pmat.nrows, sigma), dtype=np.int64)
+    slab = max(1, _KRYLOV_SLAB // max(1, m * sigma))
+    v = rows
+    for lo in range(0, d, slab):
+        n = min(slab, d - lo)
+        krylov = x_powers(v, jordan, field, n)
+        part = linalg.matmul_mod(
+            coeffs[:, lo : lo + n].reshape(pmat.nrows, n * m),
+            krylov[:n].reshape(n * m, sigma),
+            p,
+        )
+        out = (out + part) % p
+        v = krylov[n]
+    return out.tolist()

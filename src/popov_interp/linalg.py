@@ -19,8 +19,9 @@ def as_matrix(rows, p: int) -> np.ndarray:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # split the inner dimension so accumulated dot products stay in int64
-    step = max(1, (2**62) // (p * p))
+    # split the inner dimension so that out + step products of residues,
+    # at most (p-1) + step*(p-1)**2, stays within int64
+    step = (2**63 - p) // (p - 1) ** 2
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for lo in range(0, a.shape[1], step):
         out = (out + a[:, lo : lo + step] @ b[lo : lo + step, :]) % p

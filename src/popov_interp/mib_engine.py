@@ -159,11 +159,6 @@ def iterative_mib(
     return popov, delta
 
 
-def linear_algebra_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
-    """Base-case solver for sigma <= m; same contract as iterative_mib."""
-    return iterative_mib(inst)
-
-
 def split_leading(inst: InterpInstance):
     """Leading sub-instance at cut ceil(sigma/2), plus the trailing blocks.
 

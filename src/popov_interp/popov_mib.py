@@ -7,7 +7,8 @@ which rebuilds the canonical basis from scratch:
 
 * the columns are partially linearized in degree ceil(sigma/m) against an
   expansion-compression gadget, so the expanded problem has at most 2m
-  rows and a balanced shift;
+  rows and a balanced shift; its module rows ``X**(k*chunk) . E_i`` are
+  read off one strided Krylov array (``jordan_module.x_powers``);
 * a minimal (weak Popov) basis R of the expanded problem is computed with
   the negated expanded degrees as shift, translated to be nonnegative;
 * R necessarily has column degree equal to the expanded degrees and its
@@ -27,11 +28,11 @@ import numpy as np
 
 from . import linalg
 from .ff_poly import Modulus, Poly, poly_add, poly_shift_up, poly_trim
-from .jordan_module import apply_poly_row, residual, standardize
+from .jordan_module import residual, standardize, x_powers
 from .mib_engine import (
     InterpInstance,
     MinimalDegree,
-    linear_algebra_mib,
+    iterative_mib,
     minimal_interpolation_basis,
     split_leading,
 )
@@ -158,24 +159,6 @@ def _normalize_linearized(linv, rbasis: PolyMat, deltabar) -> PolyMat:
     return PolyMat(rbasis.field, rows)
 
 
-def _normalize_direct(linv, rbasis: PolyMat) -> PolyMat:
-    """linv * R as a plain constant-by-polynomial matrix product."""
-    p = rbasis.field.p
-    mbar = rbasis.nrows
-    rows = []
-    for t in range(mbar):
-        row: List[Poly] = [[] for _ in range(rbasis.ncols)]
-        for k in range(mbar):
-            c = int(linv[t][k]) % p
-            if c == 0:
-                continue
-            for u, e in enumerate(rbasis.rows[k]):
-                if e:
-                    row[u] = poly_add(row[u], [c * v % p for v in e], p)
-        rows.append(row)
-    return PolyMat(rbasis.field, rows)
-
-
 def known_mindeg_mib(
     inst: InterpInstance,
     mindeg: MinimalDegree,
@@ -192,15 +175,8 @@ def known_mindeg_mib(
     mindeg = tuple(int(d) for d in mindeg)
     plan = build_expansion(mindeg, m, sigma, field)
 
-    ebar = []
-    for i, a in enumerate(plan.alpha):
-        ebar.append(list(inst.E[i]))
-        for k in range(1, a):
-            ebar.append(
-                apply_poly_row(
-                    poly_shift_up([1], k * plan.chunk), inst.E[i], inst.jordan, field
-                )
-            )
+    krylov = x_powers(inst.E, inst.jordan, field, max(plan.alpha) - 1, plan.chunk)
+    ebar = [krylov[k, i].tolist() for i, a in enumerate(plan.alpha) for k in range(a)]
     engine_shift = tuple(plan.chunk - d for d in plan.deltabar)
     rinst = InterpInstance(field, ebar, inst.jordan, engine_shift)
     rbasis = minimal_interpolation_basis(rinst)
@@ -247,7 +223,7 @@ def popov_mib(
 ) -> Tuple[PolyMat, MinimalDegree]:
     """The s-Popov interpolation basis and the s-minimal degree.
 
-    Constraints at most m are handled by the base-case engine.  Otherwise
+    Constraints at most m are handled by ``iterative_mib``.  Otherwise
     the constraint space splits at ceil(sigma/2): the first half is
     solved, its residual provides the second half, the second call runs
     with the shift increased by the first pivot degrees, and the two
@@ -256,7 +232,7 @@ def popov_mib(
     m = inst.m
     sigma = inst.sigma
     if sigma <= m:
-        return linear_algebra_mib(inst)
+        return iterative_mib(inst)
 
     inst1, blocks2, cut = split_leading(inst)
     p1, d1 = popov_mib(inst1, trace)
@@ -267,7 +243,6 @@ def popov_mib(
     p2, d2 = popov_mib(inst2, trace)
 
     mindeg = tuple(a + b for a, b in zip(d1, d2))
-    assert sigma > m  # the recursion only reaches the rebuild above the base case
     popov = known_mindeg_mib(inst, mindeg, trace)
     if trace is not None:
         trace.append(

@@ -6,6 +6,7 @@ import pytest
 
 from popov_interp.ff_poly import (
     Modulus,
+    _x_plus_c_power,
     binom_mod,
     poly_add,
     poly_deg,
@@ -147,6 +148,18 @@ def test_binom_mod_lucas():
         for k in range(0, n + 1, 7):
             assert binom_mod(n, k, 97) == math.comb(n, k) % 97
     assert binom_mod(5, 9, 97) == 0
+
+
+def test_x_plus_c_power_matches_lucas():
+    # below p the binomials come from a recurrence, from p on from Lucas
+    for field in (Modulus(3), F97, FNTT):
+        p = field.p
+        for n in list(range(0, 12)) + [96, 97, 150, 200]:
+            c = (7 * n + 5) % p
+            ref = [binom_mod(n, t, p) * pow(c, n - t, p) % p for t in range(n + 1)]
+            while ref and ref[-1] == 0:
+                ref.pop()
+            assert _x_plus_c_power(c, n, field) == ref
 
 
 def test_poly_sub_trims():

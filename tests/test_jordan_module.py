@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from popov_interp import JordanSpec, Modulus, PolyMat, standardize
+from popov_interp import jordan_module
 from popov_interp.ff_poly import poly_add, poly_from_ints, poly_mul, poly_scale
 from popov_interp.jordan_module import (
     apply_poly,
     apply_poly_row,
     residual,
     residual_direct,
+    x_powers,
 )
 
 F = Modulus(97)
+# small, middle, NTT-friendly, and the largest prime below 2**31 (int64 edge)
+PRIMES = (3, 97, 998244353, 2147483647)
 
 
 def test_jordan_spec_validation():
@@ -144,27 +148,84 @@ def test_residual_examples():
         residual(ident, [[1], [2], [3]], spec)
 
 
+def _random_blocks(rng, sigma, p, eigs=None):
+    """Blocks summing to sigma; eigenvalues drawn from eigs when given."""
+    blocks = []
+    left = sigma
+    while left:
+        n = rng.randint(1, left)
+        x = rng.choice(eigs) if eigs else rng.randrange(p)
+        blocks.append((x, n))
+        left -= n
+    return blocks
+
+
+def _random_residual_case(rng, p):
+    """Random (P, E, J) covering the edge shapes of the residual.
+
+    Entry degrees reach 2*sigma, rows and columns of P may vanish, sigma
+    may fall below m, blocks may all have size 1, and eigenvalues repeat.
+    """
+    m = rng.randint(1, 5)
+    sigma = rng.randint(0, 16)
+    kind = rng.randrange(3)
+    if kind == 0 and sigma:
+        blocks = [(rng.randrange(p), 1) for _ in range(sigma)]  # size-1 blocks
+    elif kind == 1 and sigma:
+        eigs = [rng.randrange(p) for _ in range(2)]
+        blocks = _random_blocks(rng, sigma, p, eigs)  # repeated eigenvalues
+    else:
+        blocks = _random_blocks(rng, sigma, p)
+    spec, rows = standardize(
+        blocks, [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
+    )
+    nrows = rng.randint(1, m + 1)
+    zero_row = rng.randrange(nrows) if rng.random() < 0.3 else None
+    zero_col = rng.randrange(m) if rng.random() < 0.3 else None
+    entries = []
+    for i in range(nrows):
+        prow = []
+        for j in range(m):
+            if i == zero_row or j == zero_col:
+                prow.append([])
+            else:
+                deg = rng.randint(-1, 2 * sigma + 1)
+                prow.append([rng.randrange(p) for _ in range(deg + 1)])
+        entries.append(prow)
+    return PolyMat.from_rows(Modulus(p), entries), rows, spec
+
+
 def test_residual_linearized_equals_direct(rng):
-    for _ in range(40):
-        sigma = rng.randint(1, 16)
-        m = rng.randint(1, 4)
-        blocks = []
-        left = sigma
-        while left:
-            n = rng.randint(1, left)
-            blocks.append((rng.randrange(97), n))
-            left -= n
-        spec, rows = standardize(
-            blocks, [[rng.randrange(97) for _ in range(sigma)] for _ in range(m)]
-        )
-        pmat = PolyMat.from_rows(
-            F,
-            [
-                [
-                    [rng.randrange(97) for _ in range(rng.randint(0, sigma + 2))]
-                    for _ in range(m)
-                ]
-                for _ in range(m)
-            ],
-        )
-        assert residual(pmat, rows, spec) == residual_direct(pmat, rows, spec)
+    for p in PRIMES:
+        for _ in range(30):
+            pmat, rows, spec = _random_residual_case(rng, p)
+            assert residual(pmat, rows, spec) == residual_direct(pmat, rows, spec)
+
+
+def test_residual_slabs_equal_direct(rng, monkeypatch):
+    # a tiny slab forces several Krylov slabs per residual
+    monkeypatch.setattr(jordan_module, "_KRYLOV_SLAB", 7)
+    for p in PRIMES:
+        for _ in range(10):
+            pmat, rows, spec = _random_residual_case(rng, p)
+            assert residual(pmat, rows, spec) == residual_direct(pmat, rows, spec)
+
+
+def test_x_powers_matches_dense_jordan(rng):
+    for p in PRIMES:
+        field = Modulus(p)
+        for _ in range(10):
+            sigma = rng.randint(1, 10)
+            m = rng.randint(1, 3)
+            spec, rows = standardize(
+                _random_blocks(rng, sigma, p),
+                [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)],
+            )
+            d = rng.randint(0, 2 * sigma)
+            stride = rng.randint(1, 3)
+            krylov = x_powers(rows, spec, field, d, stride)
+            assert krylov.shape == (d + 1, m, sigma)
+            for k in range(d + 1):
+                monomial = [0] * (k * stride) + [1]  # X**(k*stride)
+                for j in range(m):
+                    assert krylov[k, j].tolist() == _apply_via_matrix(monomial, rows[j], spec, p)

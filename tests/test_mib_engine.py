@@ -13,7 +13,6 @@ from popov_interp import (
     is_weak_popov,
     iterative_mib,
     kernel_oracle,
-    linear_algebra_mib,
     minimal_interpolation_basis,
     weak_popov_to_popov,
 )
@@ -45,11 +44,6 @@ def test_iterative_examples():
 
     basis, delta = iterative_mib(INST2)
     assert basis.rows == [[[0, 0, 1], []], [[96], [1]]] and delta == (2, 0)
-
-
-def test_linear_algebra_mib_matches():
-    for inst in (INST1, INST2):
-        assert linear_algebra_mib(inst) == iterative_mib(inst)
 
 
 def test_iterative_properties(rng):

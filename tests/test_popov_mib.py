@@ -17,13 +17,12 @@ from popov_interp import (
     popov_mib,
     weak_popov_to_popov,
 )
-from popov_interp.ff_poly import poly_deg
+from popov_interp.ff_poly import poly_add, poly_deg
 from popov_interp.linalg import inv_mod
 from popov_interp.polymat import pivot_degrees
 from popov_interp.popov_mib import (
     KnownDegreeRecord,
     SplitRecord,
-    _normalize_direct,
     _normalize_linearized,
 )
 
@@ -102,6 +101,23 @@ def test_known_mindeg_rejects_wrong_degree():
         known_mindeg_mib(inst, (1, 1))
 
 
+def _normalize_direct(linv, rbasis: PolyMat) -> PolyMat:
+    """linv * R as a plain constant-by-polynomial matrix product."""
+    p = rbasis.field.p
+    rows = []
+    for t in range(rbasis.nrows):
+        row = [[] for _ in range(rbasis.ncols)]
+        for k in range(rbasis.nrows):
+            c = int(linv[t][k]) % p
+            if c == 0:
+                continue
+            for u, e in enumerate(rbasis.rows[k]):
+                if e:
+                    row[u] = poly_add(row[u], [c * v % p for v in e], p)
+        rows.append(row)
+    return PolyMat(rbasis.field, rows)
+
+
 def test_normalize_linearized_matches_direct(rng):
     for _ in range(25):
         inst = random_instance(rng, sigma_range=(2, 24), m_range=(2, 4))
@@ -166,4 +182,11 @@ def test_popov_mib_matches_iterative_deep_recursion(rng):
     # sigma well above m: several split levels and expansion rebuilds
     for p in (97, 998244353):
         inst = random_instance(rng, p=p, sigma_range=(96, 144), m_range=(2, 4))
+        assert popov_mib(inst) == iterative_mib(inst)
+
+
+def test_popov_mib_matches_iterative_int64_edge(rng):
+    # the largest prime below 2**31: residues multiply up to just under 2**62
+    for _ in range(4):
+        inst = random_instance(rng, p=2147483647, sigma_range=(8, 40), m_range=(1, 4))
         assert popov_mib(inst) == iterative_mib(inst)

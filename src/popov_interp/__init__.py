@@ -8,7 +8,7 @@ cross-checked against an independent brute-force kernel oracle.
 """
 
 from .ff_poly import Modulus, taylor_shift
-from .jordan_module import JordanSpec, apply_poly, residual, standardize
+from .jordan_module import JordanSpec, residual, standardize
 from .mib_engine import (
     InterpInstance,
     interpolant_check,
@@ -42,7 +42,6 @@ __all__ = [
     "Modulus",
     "PivotProfile",
     "PolyMat",
-    "apply_poly",
     "build_expansion",
     "column_degree",
     "determinant",

@@ -3,14 +3,14 @@
 Subcommands: solve, check, bench, order-basis, gs-interp, adversarial.
 Instances and results are JSON; coefficients are plain integers in
 [0, p), low degree first, with [] as the zero polynomial.  Exit codes:
-0 success, 1 input error, 2 verification failure or engine mismatch.
+0 success, 1 input error, 2 verification failure or engine mismatch,
+3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import statistics
 import sys
@@ -26,12 +26,13 @@ from .apps import (
     order_basis,
 )
 from .ff_poly import Modulus
-from .jordan_module import JordanSpec, standardize
+from .jordan_module import JordanSpec, standardize, x_powers
+from .linalg import rank_mod
 from .mib_engine import InterpInstance, interpolant_check, iterative_mib
 from .polymat import PolyMat, is_popov
 from .popov_mib import popov_mib
 
-OK, INPUT_ERROR, CHECK_FAILED = 0, 1, 2
+OK, INPUT_ERROR, CHECK_FAILED, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 class InputError(Exception):
@@ -140,11 +141,22 @@ def cmd_check(args) -> int:
     print(f"zero-residual: {'ok' if resid_ok else 'FAIL'}")
     failed |= not resid_ok
 
+    # a Popov basis of interpolants generates the module iff its degree
+    # sum is the colength, the rank of the Krylov rows X**k . E_i
     diag_ok = popov_ok and delta == [len(basis.rows[i][i]) - 1 for i in range(inst.m)]
-    degree_ok = diag_ok and sum(delta) <= inst.sigma
+    degree_ok = diag_ok and sum(delta) == _colength(inst)
     print(f"degree-sum: {'ok' if degree_ok else 'FAIL'}")
     failed |= not degree_ok
     return CHECK_FAILED if failed else OK
+
+
+def _colength(inst: InterpInstance) -> int:
+    """Dimension of the span of the rows X**k . E_i, k < sigma."""
+    sigma = inst.sigma
+    if sigma == 0:
+        return 0
+    krylov = x_powers(inst.E, inst.jordan, inst.field, sigma - 1)
+    return rank_mod(krylov.reshape(sigma * inst.m, sigma), inst.field.p)
 
 
 def _bench_instance(p: int, m: int, sigma: int, seed: int) -> InterpInstance:
@@ -163,39 +175,23 @@ def _bench_instance(p: int, m: int, sigma: int, seed: int) -> InterpInstance:
     return InterpInstance(field, rows, jordan, shift)
 
 
-def _bench_case(task):
-    engine, p, m, sigma, seed = task
-    inst = _bench_instance(p, m, sigma, seed)
-    solver = popov_mib if engine == "popov" else iterative_mib
-    start = time.perf_counter()
-    solver(inst)
-    return engine, m, sigma, (time.perf_counter() - start) * 1000.0
-
-
 def cmd_bench(args) -> int:
-    sigmas = [int(v) for v in args.sigmas.split(",") if v]
-    tasks = [
-        (engine, args.p, args.m, sigma, args.seed + t)
-        for sigma in sigmas
-        for engine in ("popov", "iterative")
-        for t in range(args.trials)
-    ]
-    jobs = max(1, args.jobs)
-    cap = os.environ.get("POPOV_INTERP_THREADS")
-    if cap:
-        jobs = min(jobs, max(1, int(cap)))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_bench_case, tasks))
-    else:
-        results = [_bench_case(t) for t in tasks]
-
+    try:
+        Modulus(args.p)
+        sigmas = [int(v) for v in args.sigmas.split(",") if v]
+    except ValueError as exc:
+        raise InputError(f"bad bench arguments: {exc}") from exc
+    if args.m < 1 or args.trials < 1 or any(sg < 0 for sg in sigmas):
+        raise InputError("bench needs --m >= 1, --trials >= 1 and nonnegative --sigmas")
     lines = ["engine,m,sigma,median_ms"]
     for sigma in sigmas:
-        for engine in ("popov", "iterative"):
-            times = [ms for e, _, sg, ms in results if e == engine and sg == sigma]
+        for engine, solver in (("popov", popov_mib), ("iterative", iterative_mib)):
+            times = []
+            for t in range(args.trials):
+                inst = _bench_instance(args.p, args.m, sigma, args.seed + t)
+                start = time.perf_counter()
+                solver(inst)
+                times.append((time.perf_counter() - start) * 1000.0)
             lines.append(f"{engine},{args.m},{sigma},{statistics.median(times):.3f}")
     text = "\n".join(lines)
     if args.out:
@@ -252,7 +248,10 @@ def cmd_gs_interp(args) -> int:
 
 
 def cmd_adversarial(args) -> int:
-    prob = adversarial_instance(args.m, args.sigma, args.seed, Modulus(args.p))
+    try:
+        prob = adversarial_instance(args.m, args.sigma, args.seed, Modulus(args.p))
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     payload = {
         "p": args.p,
         "F": [[list(e) for e in row] for row in prob.F.rows],
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=3)
     sp.add_argument("--p", type=int, default=998244353)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_bench)
 
@@ -320,9 +318,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

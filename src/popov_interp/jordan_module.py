@@ -147,11 +147,6 @@ def apply_poly_row(pl: Poly, row: Sequence[int], jordan: JordanSpec, field: Modu
     return out
 
 
-def apply_poly(pl: Poly, rows: ModuleRows, jordan: JordanSpec, field: Modulus) -> ModuleRows:
-    """The module action of pl on every row of E."""
-    return [apply_poly_row(pl, r, jordan, field) for r in rows]
-
-
 def residual_direct(pmat: PolyMat, rows: ModuleRows, jordan: JordanSpec) -> ModuleRows:
     """P . E straight from the definition: row i is sum_j p_ij . E_j."""
     field = pmat.field

@@ -1,5 +1,7 @@
 """Interpolation-basis engines and the independent verification oracle.
 
+Every engine returns ``(basis, pivot degrees)``.
+
 ``iterative_mib`` processes the constraints one by one, M-Pade style:
 at each constraint it computes a scalar discrepancy per basis row,
 eliminates it from all rows using the minimal row, multiplies that row by
@@ -7,10 +9,11 @@ eliminates it from all rows using the minimal row, multiplies that row by
 canonical shifted Popov form.  It is the reference engine every other
 path is checked against.
 
-``minimal_interpolation_basis`` is the generic divide-and-conquer engine:
-it splits the constraint space in two, solves the left half, pushes the
-residual through, solves the right half with the shift bumped by the left
-pivot degrees, and multiplies the two bases.  Its output is a shifted
+``solve_halves`` is the split shared by both divide-and-conquer engines:
+it cuts the constraint space in two, solves the left half, pushes the
+residual through, and solves the right half with the shift bumped by the
+left pivot degrees.  ``minimal_interpolation_basis`` (the Mib) multiplies
+the two bases and adds their pivot degrees; its output is a shifted
 diagonal weak Popov basis, not normalized.
 
 ``kernel_oracle`` ignores all of that and sets up the degree-bounded
@@ -21,7 +24,7 @@ independent certificate used by the acceptance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .jordan_module import (
     residual_direct,
     standardize,
 )
-from .polymat import PolyMat, matmul, pivot_degrees, weak_popov_to_popov
+from .polymat import PolyMat, matmul, weak_popov_to_popov
 
 MinimalDegree = Tuple[int, ...]
 
@@ -78,21 +81,18 @@ def interpolant_check(row: Sequence[Poly], inst: InterpInstance) -> bool:
     return not any(res[0])
 
 
-def _iterative_engine(inst: InterpInstance, preference: Optional[Sequence[int]] = None):
+def _iterative_engine(inst: InterpInstance):
     """Constraint-by-constraint elimination.
 
-    Returns the raw basis rows, their s-degrees and the per-row count of
-    (X - x) multiplications.  With the default row preference the basis
-    stays in s-diagonal weak Popov form throughout, so that count is the
-    pivot degree tuple.
+    Returns the raw basis rows and the per-row count of (X - x)
+    multiplications.  Ties in s-degree go to the lowest row index, so the
+    basis stays in s-diagonal weak Popov form throughout and that count
+    is the pivot degree tuple.
     """
     field = inst.field
     p = field.p
     m = inst.m
     s = inst.shift
-    pref = list(range(m)) if preference is None else list(preference)
-    if sorted(pref) != list(range(m)):
-        raise ValueError("preference must be a permutation of the row indices")
 
     basis: List[List[Poly]] = [
         [[1] if j == i else [] for j in range(m)] for i in range(m)
@@ -107,7 +107,7 @@ def _iterative_engine(inst: InterpInstance, preference: Optional[Sequence[int]] 
             cands = [i for i in range(m) if res[i][pos]]
             if not cands:
                 continue
-            pi = min(cands, key=lambda i: (sdeg[i], pref[i]))
+            pi = min(cands, key=lambda i: (sdeg[i], i))
             inv_d = pow(res[pi][pos], p - 2, p)
             brow = basis[pi]
             rrow = res[pi]
@@ -136,24 +136,18 @@ def _iterative_engine(inst: InterpInstance, preference: Optional[Sequence[int]] 
                 rrow[ob] = cb * rrow[ob] % p
             sdeg[pi] += 1
             steps[pi] += 1
-    return basis, sdeg, steps
+    return basis, steps
 
 
 def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """Un-normalized s-diagonal weak Popov basis and its pivot degrees."""
-    basis, _, steps = _iterative_engine(inst)
+    basis, steps = _iterative_engine(inst)
     return PolyMat(inst.field, basis), tuple(steps)
 
 
-def iterative_mib(
-    inst: InterpInstance, preference: Optional[Sequence[int]] = None
-) -> Tuple[PolyMat, MinimalDegree]:
-    """The s-Popov interpolation basis and its diagonal degrees.
-
-    The optional row preference permutes tie-breaking between rows of
-    equal s-degree; any preference yields the same canonical output.
-    """
-    basis, _, _ = _iterative_engine(inst, preference)
+def iterative_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
+    """The s-Popov interpolation basis and its diagonal degrees."""
+    basis, _ = _iterative_engine(inst)
     popov = weak_popov_to_popov(PolyMat(inst.field, basis), inst.shift)
     delta = tuple(len(popov.rows[i][i]) - 1 for i in range(inst.m))
     return popov, delta
@@ -187,30 +181,38 @@ def split_leading(inst: InterpInstance):
     return inst1, blocks2, cut
 
 
-def minimal_interpolation_basis(
-    inst: InterpInstance, base_threshold: Optional[int] = None
-) -> PolyMat:
-    """A shifted diagonal weak Popov interpolation basis (not normalized).
+def solve_halves(
+    inst: InterpInstance, solve: Callable[[InterpInstance], Tuple[PolyMat, MinimalDegree]]
+):
+    """Solve the two halves of the constraint space, left then right.
 
-    Below the base-case threshold (sigma <= max(m, base_threshold)) the
-    iterative engine's raw output is returned; otherwise the constraints
-    split in half, the residual of the first basis feeds the second call
-    with the shift increased by the first pivot degrees, and the product
-    of the two bases is returned.
+    The left half comes from ``split_leading``; the residual of its basis
+    P1 against E, restricted to the trailing blocks and re-standardized,
+    is the right half, solved under the shift bumped by the left pivot
+    degrees d1.  Returns ``p1, d1, p2, d2``; P2 * P1 is then an
+    s-diagonal weak Popov interpolation basis with pivot degrees d1 + d2.
     """
-    m = inst.m
-    thr = max(m, base_threshold) if base_threshold is not None else m
-    if inst.sigma <= thr:
-        return iterative_weak_popov(inst)[0]
     inst1, blocks2, cut = split_leading(inst)
-    p1 = minimal_interpolation_basis(inst1, base_threshold)
-    d1 = pivot_degrees(p1, inst.shift)
+    p1, d1 = solve(inst1)
     rem = residual(p1, inst.E, inst.jordan)
     j2, e2 = standardize(blocks2, [r[cut:] for r in rem])
     shift2 = tuple(sv + dv for sv, dv in zip(inst.shift, d1))
-    inst2 = InterpInstance(inst.field, e2, j2, shift2)
-    p2 = minimal_interpolation_basis(inst2, base_threshold)
-    return matmul(p2, p1)
+    p2, d2 = solve(InterpInstance(inst.field, e2, j2, shift2))
+    return p1, d1, p2, d2
+
+
+def minimal_interpolation_basis(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
+    """A shifted diagonal weak Popov interpolation basis (not normalized)
+    and its pivot degrees.
+
+    Up to m constraints this is the iterative engine's raw output;
+    otherwise the product of the two halves' bases from ``solve_halves``,
+    whose pivot degrees add up.
+    """
+    if inst.sigma <= inst.m:
+        return iterative_weak_popov(inst)
+    p1, d1, p2, d2 = solve_halves(inst, minimal_interpolation_basis)
+    return matmul(p2, p1), tuple(a + b for a, b in zip(d1, d2))
 
 
 def kernel_oracle(inst: InterpInstance, bound: int) -> List[List[Poly]]:

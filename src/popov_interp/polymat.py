@@ -78,12 +78,6 @@ class PolyMat:
         p = field.p
         return cls(field, [[poly_trim([c % p for c in e]) for e in row] for row in rows])
 
-    def copy(self) -> "PolyMat":
-        return PolyMat(self.field, [[list(e) for e in row] for row in self.rows])
-
-    def degree_matrix(self) -> List[List[Degree]]:
-        return [[poly_deg(e) for e in row] for row in self.rows]
-
     def coefficient_count(self) -> int:
         """Number of field elements needed to store the matrix."""
         return sum(len(e) for row in self.rows for e in row)

@@ -194,7 +194,7 @@ def test_adversarial_blowup_small():
     inst = approximant_instance(prob)
     from popov_interp import minimal_interpolation_basis
 
-    w = minimal_interpolation_basis(inst)
+    w, _ = minimal_interpolation_basis(inst)
     popov, _ = popov_mib(inst)
     assert w.coefficient_count() >= m * m * (sigma - m) // 2
     assert popov.coefficient_count() <= 2 * m * (sigma + 1)

@@ -225,3 +225,39 @@ def test_adversarial_command(tmp_path):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps(data["instance"]))
     assert main(["solve", str(inst_path), "--engine", "oracle-check", "--out", str(tmp_path / "b.json")]) == 0
+
+
+def test_check_rejects_non_generating_basis(tmp_path, capsys):
+    # diag(X^3, X) has Popov form and interpolant rows, but the module is
+    # generated by diag(X^3, 1): its colength is 3, not 4
+    inst = tmp_path / "inst.json"
+    inst.write_text(
+        json.dumps({"p": 97, "m": 2, "jordan": [[0, [4]]], "E": [[0, 1, 0, 0], [0, 0, 0, 0]], "shift": [0, 0]})
+    )
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps({"p": 97, "basis": [[[0, 0, 0, 1], []], [[], [0, 1]]], "delta": [3, 1]}))
+    assert main(["check", str(inst), str(basis)]) == 2
+    assert "degree-sum: FAIL" in capsys.readouterr().out
+    solved = tmp_path / "solved.json"
+    assert main(["solve", str(inst), "--out", str(solved)]) == 0
+    assert json.loads(solved.read_text())["basis"] == [[[0, 0, 0, 1], []], [[], [1]]]
+    assert main(["check", str(inst), str(solved)]) == 0
+
+
+def test_engine_fault_is_internal_error(instance_file, monkeypatch, capsys):
+    from popov_interp import cli
+
+    def broken(inst):
+        raise ValueError("inconsistent minimal degree")
+
+    monkeypatch.setattr(cli, "popov_mib", broken)
+    assert main(["solve", str(instance_file)]) == 3
+    assert "internal error" in capsys.readouterr().err
+
+
+def test_bad_arguments_are_input_errors():
+    assert main(["adversarial", "--m", "1", "--sigma", "4"]) == 1
+    assert main(["adversarial", "--m", "2", "--sigma", "4", "--p", "96"]) == 1
+    assert main(["bench", "--sigmas", "8,x"]) == 1
+    assert main(["bench", "--sigmas", "8", "--p", "96"]) == 1
+    assert main(["bench", "--m", "0", "--sigmas", "8"]) == 1

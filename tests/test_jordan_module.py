@@ -7,7 +7,6 @@ from popov_interp import JordanSpec, Modulus, PolyMat, standardize
 from popov_interp import jordan_module
 from popov_interp.ff_poly import poly_add, poly_from_ints, poly_mul, poly_scale
 from popov_interp.jordan_module import (
-    apply_poly,
     apply_poly_row,
     residual,
     residual_direct,
@@ -63,7 +62,7 @@ def test_apply_poly_examples():
     assert list((e @ J) % 97) == [1, 1]
     # multiplication by 1 is the identity
     rows = [[3, 4], [5, 6]]
-    assert apply_poly([1], rows, spec, F) == rows
+    assert [apply_poly_row([1], r, spec, F) for r in rows] == rows
 
 
 def _dense_jordan(spec, p):

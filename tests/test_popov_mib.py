@@ -17,51 +17,38 @@ from popov_interp import (
     popov_mib,
     weak_popov_to_popov,
 )
-from popov_interp.ff_poly import poly_add, poly_deg
+from popov_interp.ff_poly import poly_add, poly_deg, poly_shift_up
 from popov_interp.linalg import inv_mod
 from popov_interp.polymat import pivot_degrees
-from popov_interp.popov_mib import (
-    KnownDegreeRecord,
-    SplitRecord,
-    _normalize_linearized,
-)
+from popov_interp.popov_mib import KnownDegreeRecord, SplitRecord
 
 F = Modulus(97)
 
 
 def test_build_expansion_worked_example():
-    plan = build_expansion((3, 1), 2, 4, F)
+    plan = build_expansion((3, 1), 2, 4)
     assert plan.chunk == 2
-    assert plan.alpha == (2, 1) and plan.beta == (1, 1)
-    assert plan.mbar == 3
+    assert plan.alpha == (2, 1)
     assert plan.deltabar == (2, 1, 1)
-    assert plan.expansion.rows == [[[1], []], [[0, 0, 1], []], [[], [1]]]
+    assert plan.group_offsets == (0, 2)
 
 
 def test_build_expansion_zero_profile():
-    plan = build_expansion((0, 0, 0), 3, 5, F)
+    plan = build_expansion((0, 0, 0), 3, 5)
     assert plan.alpha == (1, 1, 1)
-    assert plan.expansion.rows == PolyMat.identity(F, 3).rows
+    assert plan.deltabar == (0, 0, 0)
+    assert plan.group_offsets == (0, 1, 2)
 
 
 def test_build_expansion_row_count_bound():
     # a fully unbalanced profile still expands to at most 2m rows
     for sigma in range(2, 65):
-        plan = build_expansion((sigma, 0), 2, sigma, F)
+        plan = build_expansion((sigma, 0), 2, sigma)
         chunk = -(-sigma // 2)
         assert plan.alpha[0] == sigma // chunk + 1
-        assert plan.mbar <= 4
+        assert len(plan.deltabar) <= 4
     with pytest.raises(ValueError, match="does not linearize"):
-        build_expansion((0, 0, 0), 3, 2, F)
-
-
-def test_expansion_rows_are_single_monomials():
-    plan = build_expansion((5, 3, 0), 3, 9, F)
-    for row in plan.expansion.rows:
-        nonzero = [e for e in row if e]
-        assert len(nonzero) == 1
-        e = nonzero[0]
-        assert e[-1] == 1 and all(c == 0 for c in e[:-1])
+        build_expansion((0, 0, 0), 3, 2)
 
 
 def test_known_mindeg_worked_example():
@@ -89,7 +76,7 @@ def test_known_mindeg_random_equality(rng):
         assert isinstance(rec, KnownDegreeRecord)
         # the intermediate basis has column degree exactly deltabar
         for u, want in enumerate(rec.plan.deltabar):
-            col = max(poly_deg(rec.rbasis.rows[t][u]) for t in range(rec.plan.mbar))
+            col = max(poly_deg(rec.rbasis.rows[t][u]) for t in range(rec.rbasis.nrows))
             assert col == want
         assert inv_mod(rec.leading, 97) is not None
         checked += 1
@@ -97,8 +84,11 @@ def test_known_mindeg_random_equality(rng):
 
 def test_known_mindeg_rejects_wrong_degree():
     inst = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, (2,)),)), (0, 0))
-    with pytest.raises(ValueError, match="inconsistent minimal degree"):
-        known_mindeg_mib(inst, (1, 1))
+    # (1, 1) exceeds the expanded column degrees; (3, 0) leaves the
+    # leading matrix singular
+    for wrong in ((1, 1), (3, 0)):
+        with pytest.raises(ValueError, match="inconsistent minimal degree"):
+            known_mindeg_mib(inst, wrong)
 
 
 def _normalize_direct(linv, rbasis: PolyMat) -> PolyMat:
@@ -118,6 +108,18 @@ def _normalize_direct(linv, rbasis: PolyMat) -> PolyMat:
     return PolyMat(rbasis.field, rows)
 
 
+def _compress(row, plan):
+    """Entry j of the compressed row: sum_k X**(k*chunk) * row[offset_j + k]."""
+    out = []
+    for off, a in zip(plan.group_offsets, plan.alpha):
+        acc = []
+        for k in range(a):
+            if row[off + k]:
+                acc = poly_add(acc, poly_shift_up(row[off + k], k * plan.chunk), F.p)
+        out.append(acc)
+    return out
+
+
 def test_normalize_linearized_matches_direct(rng):
     for _ in range(25):
         inst = random_instance(rng, sigma_range=(2, 24), m_range=(2, 4))
@@ -127,10 +129,10 @@ def test_normalize_linearized_matches_direct(rng):
         trace = []
         known_mindeg_mib(inst, delta, trace=trace)
         rec = trace[0]
-        linv = inv_mod(rec.leading, 97)
-        lin = _normalize_linearized(linv, rec.rbasis, rec.plan.deltabar)
-        direct = _normalize_direct(linv, rec.rbasis)
-        assert lin.rows == direct.rows
+        plan = rec.plan
+        direct = _normalize_direct(inv_mod(rec.leading, 97), rec.rbasis)
+        last = [off + a - 1 for off, a in zip(plan.group_offsets, plan.alpha)]
+        assert [_compress(direct.rows[t], plan) for t in last] == rec.popov.rows
 
 
 def test_popov_mib_trivial_and_small():

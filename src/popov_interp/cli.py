@@ -17,6 +17,8 @@ import sys
 import time
 from typing import List, Optional
 
+import numpy as np
+
 from .apps import (
     ApproximantProblem,
     GSProblem,
@@ -27,7 +29,6 @@ from .apps import (
 )
 from .ff_poly import Modulus
 from .jordan_module import JordanSpec, standardize, x_powers
-from .linalg import rank_mod
 from .mib_engine import InterpInstance, interpolant_check, iterative_mib
 from .polymat import PolyMat, is_popov
 from .popov_mib import popov_mib
@@ -151,12 +152,36 @@ def cmd_check(args) -> int:
 
 
 def _colength(inst: InterpInstance) -> int:
-    """Dimension of the span of the rows X**k . E_i, k < sigma."""
+    """Dimension of the span of the rows X**k . E_i.
+
+    The vectors X**k . E_i, k = 0, 1, ..., are reduced one by one against
+    a reduced echelon basis of the span so far, and row i stops at its
+    first dependent vector: the span of the earlier rows' sequences is
+    X-invariant, so every later power of E_i is dependent too.  At most
+    colength + m vectors are reduced.
+    """
+    p = inst.field.p
     sigma = inst.sigma
-    if sigma == 0:
-        return 0
-    krylov = x_powers(inst.E, inst.jordan, inst.field, sigma - 1)
-    return rank_mod(krylov.reshape(sigma * inst.m, sigma), inst.field.p)
+    basis = np.zeros((sigma, sigma), dtype=np.int64)
+    pivots: List[int] = []  # pivot column of each basis row
+    for row in inst.E:
+        w = np.array([row], dtype=np.int64)
+        while True:
+            r = len(pivots)
+            # in reduced echelon form, w's entries at the pivot columns are
+            # its coordinates on the basis rows
+            coords = w[0, pivots]
+            v = (w[0] - (coords[:, None] * basis[:r] % p).sum(0)) % p
+            nonzero = np.flatnonzero(v)
+            if nonzero.size == 0:
+                break
+            col = int(nonzero[0])
+            v = v * pow(int(v[col]), p - 2, p) % p
+            basis[:r] = (basis[:r] - np.outer(basis[:r, col], v)) % p
+            basis[r] = v
+            pivots.append(col)
+            w = x_powers(w, inst.jordan, inst.field, 1)[1]
+    return len(pivots)
 
 
 def _bench_instance(p: int, m: int, sigma: int, seed: int) -> InterpInstance:

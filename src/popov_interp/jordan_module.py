@@ -198,10 +198,11 @@ def x_powers(rows, jordan: JordanSpec, field: Modulus, d: int, stride: int = 1) 
 def residual(pmat: PolyMat, rows: ModuleRows, jordan: JordanSpec) -> ModuleRows:
     """P . E as one Krylov-matrix product.
 
-    With P packed as an (nrows, d*m) coefficient array, entry (i, k*m + j)
-    holding the coefficient of X**k in p_ij, the residual is that array
-    times the stacked rows ``X**k . E_j`` from ``x_powers``, reduced mod
-    p.  Long entries are taken in slabs of powers to bound memory.
+    With P's packed coefficients read as an (nrows, d*m) array, entry
+    (i, k*m + j) holding the coefficient of X**k in p_ij, the residual is
+    that array times the stacked rows ``X**k . E_j`` from ``x_powers``,
+    reduced mod p.  Long entries are taken in slabs of powers to bound
+    memory.
     """
     field = pmat.field
     p = field.p
@@ -209,12 +210,8 @@ def residual(pmat: PolyMat, rows: ModuleRows, jordan: JordanSpec) -> ModuleRows:
     if m != len(rows):
         raise ValueError("dimension mismatch between P and E")
     sigma = jordan.total
-    d = max((len(e) for prow in pmat.rows for e in prow), default=0)
-    coeffs = np.zeros((pmat.nrows, d, m), dtype=np.int64)
-    for i, prow in enumerate(pmat.rows):
-        for j, e in enumerate(prow):
-            coeffs[i, : len(e), j] = e
-    coeffs %= p
+    coeffs = pmat.coeffs.transpose(0, 2, 1)
+    d = coeffs.shape[1]
     out = np.zeros((pmat.nrows, sigma), dtype=np.int64)
     slab = max(1, _KRYLOV_SLAB // max(1, m * sigma))
     v = rows

@@ -6,14 +6,20 @@ rightmost entry reaching the s-degree.  On top of pivots this module
 provides the reduced / weak Popov / Popov predicates and the
 normalization from weak Popov form to the canonical Popov form.
 
-Row vectors are lists of coefficient lists; matrices wrap a rectangular
-grid of them together with their modulus.
+A matrix has two views, each built on first access: ``rows``, a grid of
+coefficient lists, and ``coeffs``, one packed int64 coefficient array.
+The iterative engine, the normalization, the predicates and verification
+read the rows; the divide-and-conquer Mib reads the array, through
+``matmul``, the residual and the known-degree rebuild, so its bases stay
+packed from the base case to the rebuild.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from itertools import chain
+from typing import List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import linalg
 from .ff_poly import (
@@ -21,7 +27,6 @@ from .ff_poly import (
     Degree,
     Modulus,
     Poly,
-    poly_add,
     poly_deg,
     poly_divrem,
     poly_mul,
@@ -43,27 +48,109 @@ class PivotProfile(NamedTuple):
     degree: int
 
 
-@dataclass
 class PolyMat:
-    """A rows x cols grid of polynomials over a common prime field."""
+    """A rows x cols matrix of polynomials over a common prime field.
 
-    field: Modulus
-    rows: List[List[Poly]]
+    Two views of one matrix, each derived on first access and cached:
 
-    def __post_init__(self):
-        if not self.rows or not self.rows[0]:
+    * ``rows``: a list of rows of coefficient lists, low degree first,
+      trailing zeros trimmed, ``[]`` for zero;
+    * ``coeffs``: an ``(nrows, ncols, length)`` int64 array of canonical
+      residues, ``coeffs[i, j, k]`` the coefficient of X**k in entry
+      (i, j); ``length`` is one past the highest degree, 0 for the zero
+      matrix.
+
+    ``PolyMat(field, rows)`` stores rows of canonical residues, trimmed
+    (as ``from_rows`` makes them); ``from_coeffs`` stores an array.
+    ``lengths`` is the ``(nrows, ncols)`` array of entry lengths (degree
+    plus one, 0 for zero).  All views are shared, never copied, and are
+    read-only: the arrays are flagged so, and the rows must not be
+    mutated either, since the other views would not follow.  Equality
+    compares the field and the rows.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_coeffs", "_lengths")
+
+    def __init__(self, field: Modulus, rows: List[List[Poly]]):
+        if not rows or not rows[0]:
             raise ValueError("matrix dimensions must be at least 1 x 1")
-        ncols = len(self.rows[0])
-        if any(len(r) != ncols for r in self.rows):
+        ncols = len(rows[0])
+        if any(len(r) != ncols for r in rows):
             raise ValueError("matrix rows have inconsistent lengths")
+        self.field = field
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self._rows: Optional[List[List[Poly]]] = rows
+        self._coeffs: Optional[np.ndarray] = None
+        self._lengths: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_coeffs(cls, field: Modulus, coeffs: np.ndarray) -> "PolyMat":
+        """The matrix of a packed array of canonical residues.
+
+        The array is stored without a copy, cut after its highest nonzero
+        degree.
+        """
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        if coeffs.ndim != 3 or coeffs.shape[0] < 1 or coeffs.shape[1] < 1:
+            raise ValueError("matrix dimensions must be at least 1 x 1")
+        nonzero = coeffs != 0
+        n = coeffs.shape[2]
+        lengths = np.zeros(coeffs.shape[:2], dtype=np.int64)
+        if n:
+            # one past the last nonzero coefficient of each entry
+            last = n - np.argmax(nonzero[:, :, ::-1], axis=2)
+            lengths = np.where(nonzero.any(2), last, 0)
+        coeffs = coeffs[:, :, : int(lengths.max())]
+        coeffs.flags.writeable = False
+        lengths.flags.writeable = False
+        out = cls.__new__(cls)
+        out.field = field
+        out.nrows, out.ncols = coeffs.shape[:2]
+        out._rows, out._coeffs, out._lengths = None, coeffs, lengths
+        return out
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    def rows(self) -> List[List[Poly]]:
+        if self._rows is None:
+            self._rows = [
+                [e[:n] for e, n in zip(row, lens)]
+                for row, lens in zip(self._coeffs.tolist(), self.lengths.tolist())
+            ]
+        return self._rows
 
     @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
+    def lengths(self) -> np.ndarray:
+        if self._lengths is None:
+            lengths = np.array([[len(e) for e in row] for row in self._rows], dtype=np.int64)
+            lengths.flags.writeable = False
+            self._lengths = lengths
+        return self._lengths
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        if self._coeffs is None:
+            lengths = self.lengths
+            coeffs = np.zeros((self.nrows, self.ncols, int(lengths.max())), dtype=np.int64)
+            # the rows' coefficients in C order fill the slots below each length
+            coeffs[np.arange(coeffs.shape[2]) < lengths[:, :, None]] = np.fromiter(
+                chain.from_iterable(chain.from_iterable(self._rows)),
+                dtype=np.int64,
+                count=int(lengths.sum()),
+            )
+            coeffs.flags.writeable = False
+            self._coeffs = coeffs
+        return self._coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, PolyMat):
+            return NotImplemented
+        return self.field == other.field and self.rows == other.rows
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PolyMat(field={self.field!r}, rows={self.rows!r})"
 
     @classmethod
     def zero(cls, field: Modulus, nrows: int, ncols: int) -> "PolyMat":
@@ -199,23 +286,47 @@ def pivot_degrees(m: PolyMat, s: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+# about how many int64 entries matmul's padded pair products hold at once
+_MATMUL_SLAB = 1 << 18
+
+
 def matmul(a: PolyMat, b: PolyMat) -> PolyMat:
+    """The product a * b, array to array.
+
+    Every pair (a_ik, b_kl) of nonzero entries contributes the outer
+    product of their coefficient vectors; shifting row t of that block
+    right by t and summing the rows gives the convolution a_ik * b_kl,
+    which is accumulated into entry (i, l).  Pairs are taken in slabs
+    whose padded products hold about ``_MATMUL_SLAB`` entries, to bound
+    memory.
+    """
     if a.field != b.field:
         raise ValueError("mismatched moduli")
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.ncols} vs {b.nrows}")
     p = a.field.p
-    out = []
-    for row in a.rows:
-        new = []
-        for j in range(b.ncols):
-            acc: Poly = []
-            for k, e in enumerate(row):
-                if e and b.rows[k][j]:
-                    acc = poly_add(acc, poly_mul(e, b.rows[k][j], a.field), p)
-            new.append(acc)
-        out.append(new)
-    return PolyMat(a.field, out)
+    ac, bc = a.coeffs, b.coeffs
+    da, db = ac.shape[2], bc.shape[2]
+    out = np.zeros((a.nrows, b.ncols, max(da + db - 1, 0)), dtype=np.int64)
+    ii, kk, ll = np.nonzero((a.lengths > 0)[:, :, None] & (b.lengths > 0)[None])
+    # an output coefficient sums at most a.ncols * min(da, db) products,
+    # each below 2**62 as p < 2**31; they are reduced first unless that
+    # sum stays within int64 as it is
+    reduce = a.ncols * min(da, db) * (p - 1) ** 2 >= 2**63
+    width = da + db  # rows padded so that reading them one shorter skews them
+    per_slab = max(1, _MATMUL_SLAB // max(1, da * width))
+    for lo in range(0, ii.size, per_slab):
+        i, k, l = ii[lo : lo + per_slab], kk[lo : lo + per_slab], ll[lo : lo + per_slab]
+        n = i.size
+        prod = np.zeros((n, da, width), dtype=np.int64)
+        block = prod[:, :, :db]
+        np.multiply(ac[i, k, :, None], bc[k, l, None, :], out=block)
+        if reduce:
+            np.remainder(block, p, out=block)
+        conv = prod.reshape(n, da * width)[:, : da * (width - 1)].reshape(n, da, width - 1)
+        np.add.at(out, (i, l), conv.sum(1))
+    np.remainder(out, p, out=out)
+    return PolyMat.from_coeffs(a.field, out)
 
 
 def column_degree(m: PolyMat) -> List[Degree]:

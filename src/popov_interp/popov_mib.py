@@ -21,9 +21,13 @@ from scratch:
 
 A degree that is not the minimal degree of the instance raises
 ValueError("inconsistent minimal degree") when it shows up as an exceeded
-column degree or a singular leading matrix.  Neither check is a
-certificate: some wrong degrees pass both and yield a basis that is not
-the s-Popov one.
+column degree, a singular leading matrix, or a result that is not in
+s-Popov form with those diagonal degrees.  A basis that comes back is
+therefore an s-Popov matrix with the given degrees whose rows are
+interpolants.  That it generates the module is not checked: it does
+when the degrees sum to the true minimal degree sum, the degree of the
+determinant of every interpolation basis, but a wrong degree tuple with
+a larger sum can pass and yield a basis of a proper submodule.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import linalg
-from .ff_poly import poly_trim
 from .jordan_module import x_powers
 from .mib_engine import (
     InterpInstance,
@@ -111,6 +114,31 @@ def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
     )
 
 
+def _is_popov_at(popov: PolyMat, shift, mindeg: MinimalDegree) -> bool:
+    """Whether popov is in s-Popov form with diagonal degrees mindeg.
+
+    Read off the entry lengths: a monic diagonal of degree mindeg, the
+    rest of column j below degree mindeg[j], and the s-pivot of every row
+    on the diagonal.  Shifts are Python integers of any size, so the
+    pivots are compared in Python, m**2 comparisons.
+    """
+    lengths = popov.lengths
+    deg = np.array(mindeg, dtype=np.int64)
+    diag = np.arange(len(mindeg))
+    if (lengths[diag, diag] != deg + 1).any() or (popov.coeffs[diag, diag, deg] != 1).any():
+        return False
+    off = lengths.copy()
+    off[diag, diag] = 0
+    if (off > deg).any():
+        return False
+    for i, row in enumerate(lengths.tolist()):
+        # the diagonal is the rightmost entry of largest s-degree
+        top = (mindeg[i] + shift[i], i)
+        if any(n and (n - 1 + shift[j], j) > top for j, n in enumerate(row)):
+            return False
+    return True
+
+
 def known_mindeg_mib(
     inst: InterpInstance,
     mindeg: MinimalDegree,
@@ -119,7 +147,8 @@ def known_mindeg_mib(
     """The s-Popov interpolation basis, given its true diagonal degrees.
 
     Raises ValueError("inconsistent minimal degree") when the expanded
-    basis exceeds the expanded degrees or its leading matrix is singular;
+    basis exceeds the expanded degrees, its leading matrix is singular,
+    or the result is not in s-Popov form with diagonal degrees mindeg;
     see the module docstring for what that does and does not catch.
     """
     field = inst.field
@@ -134,15 +163,16 @@ def known_mindeg_mib(
     rinst = InterpInstance(field, ebar, inst.jordan, engine_shift)
     rbasis, _ = minimal_interpolation_basis(rinst)
 
-    # R column-linearized at deltabar: entry (t, u) occupies the columns
+    # R column-linearized at deltabar: column u occupies the columns
     # starts[u] .. starts[u+1]-1, its coefficient of degree deltabar[u] last
     starts = np.cumsum((0,) + tuple(d + 1 for d in plan.deltabar))
+    rcoeffs = rbasis.coeffs
     flat = np.zeros((rbasis.nrows, int(starts[-1])), dtype=np.int64)
-    for t, row in enumerate(rbasis.rows):
-        for u, e in enumerate(row):
-            if len(e) > plan.deltabar[u] + 1:
-                raise ValueError("inconsistent minimal degree")
-            flat[t, starts[u] : starts[u] + len(e)] = e
+    for u, bound in enumerate(plan.deltabar):
+        if rcoeffs[:, u, bound + 1 :].any():
+            raise ValueError("inconsistent minimal degree")
+        n = min(bound + 1, rcoeffs.shape[2])
+        flat[:, starts[u] : starts[u] + n] = rcoeffs[:, u, :n]
     lead = flat[:, starts[1:] - 1]
     linv = linalg.inv_mod(lead, p)
     if linv is None:
@@ -158,7 +188,9 @@ def known_mindeg_mib(
             lo = k * plan.chunk
             coeffs[:, j, lo : lo + plan.deltabar[u] + 1] += pbar[:, starts[u] : starts[u + 1]]
     coeffs %= p
-    popov = PolyMat(field, [[poly_trim(e) for e in row] for row in coeffs.tolist()])
+    popov = PolyMat.from_coeffs(field, coeffs)
+    if not _is_popov_at(popov, inst.shift, mindeg):
+        raise ValueError("inconsistent minimal degree")
     if trace is not None:
         trace.append(
             KnownDegreeRecord(

@@ -244,6 +244,32 @@ def test_check_rejects_non_generating_basis(tmp_path, capsys):
     assert main(["check", str(inst), str(solved)]) == 0
 
 
+@pytest.mark.parametrize("p", (3, 97, 998244353, 2**31 - 1))
+def test_colength_matches_dense_krylov_rank(rng, p):
+    from popov_interp import InterpInstance
+    from popov_interp.cli import _colength
+    from popov_interp.jordan_module import x_powers
+    from popov_interp.linalg import rank_mod
+
+    for _ in range(40):
+        # few eigenvalues, so blocks repeat them; sigma from 0 and below m
+        inst = random_instance(rng, p=p, sigma_range=(0, 20), m_range=(1, 5), max_eigs=2)
+        rows = [list(r) for r in inst.E]
+        for i in range(1, len(rows)):
+            pick = rng.random()
+            if pick < 0.2:
+                rows[i] = [0] * inst.sigma
+            elif pick < 0.4:  # a multiple of an earlier row adds nothing
+                rows[i] = [3 * v % p for v in rows[rng.randrange(i)]]
+        inst = InterpInstance(inst.field, rows, inst.jordan, inst.shift)
+        sigma, m = inst.sigma, inst.m
+        dense = 0
+        if sigma:
+            krylov = x_powers(inst.E, inst.jordan, inst.field, sigma - 1)
+            dense = rank_mod(krylov.reshape(sigma * m, sigma), p)
+        assert _colength(inst) == dense
+
+
 def test_engine_fault_is_internal_error(instance_file, monkeypatch, capsys):
     from popov_interp import cli
 

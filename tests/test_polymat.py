@@ -103,10 +103,9 @@ def _random_unimodular(rng, n, deg):
     u = PolyMat.identity(F, n)
     for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
-        f = [rng.randrange(97) for _ in range(rng.randint(1, deg + 1))]
-        t = PolyMat.identity(F, n)
-        t.rows[i][j] = f
-        u = matmul(t, u)
+        rows = [[[1] if r == c else [] for c in range(n)] for r in range(n)]
+        rows[i][j] = [rng.randrange(97) for _ in range(rng.randint(1, deg + 1))]
+        u = matmul(M(rows), u)
     return u
 
 
@@ -152,22 +151,85 @@ def test_matmul_examples(rng):
         matmul(a, PolyMat.identity(F, 3))
 
 
+PRIMES = (3, 97, 998244353, 2**31 - 1)
+
+
+def _matmul_reference(a, b):
+    """a * b by one poly_mul/poly_add per entry pair."""
+    rows = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = []
+            for k in range(a.ncols):
+                acc = poly_add(acc, poly_mul(a.rows[i][k], b.rows[k][j], a.field), a.field.p)
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def _random_polymat(rng, field, nrows, ncols, lengths, top=False):
+    """Entries of random length from `lengths`; all coefficients p-1 with top."""
+    p = field.p
+    return PolyMat.from_rows(field, [[
+        [p - 1 if top else rng.randrange(p) for _ in range(rng.choice(lengths))]
+        for _ in range(ncols)
+    ] for _ in range(nrows)])
+
+
 def test_matmul_matches_schoolbook(rng):
-    for _ in range(20):
-        rows_a = [[
-            [rng.randrange(97) for _ in range(rng.randint(0, 5))] for _ in range(3)
-        ] for _ in range(2)]
-        rows_b = [[
-            [rng.randrange(97) for _ in range(rng.randint(0, 5))] for _ in range(4)
-        ] for _ in range(3)]
-        a, b = M(rows_a), M(rows_b)
-        prod = matmul(a, b)
-        for i in range(2):
-            for j in range(4):
-                acc = []
-                for k in range(3):
-                    acc = poly_add(acc, poly_mul(a.rows[i][k], b.rows[k][j], F), 97)
-                assert prod.rows[i][j] == acc
+    shapes = [(1, 1, 1), (2, 3, 4), (4, 1, 3), (3, 5, 2), (1, 6, 1), (5, 5, 5)]
+    # entry lengths: mostly zero, short, or very different from each other
+    profiles = [(0, 1, 2, 3), (0, 0, 0, 5), (1, 40), (0, 1, 33), (17,)]
+    for p in PRIMES:
+        field = Modulus(p)
+        for trial in range(60):
+            n, k, l = rng.choice(shapes)
+            top = trial % 4 == 0
+            a = _random_polymat(rng, field, n, k, rng.choice(profiles), top)
+            b = _random_polymat(rng, field, k, l, rng.choice(profiles), top)
+            assert matmul(a, b).rows == _matmul_reference(a, b)
+        # zero rows, zero columns and all-zero operands
+        a = PolyMat.from_rows(field, [[[1, 2], [3]], [[], []], [[p - 1], [0, 0, 5]]])
+        b = PolyMat.from_rows(field, [[[], [4, 0, 1], []], [[], [p - 1] * 7, []]])
+        assert matmul(a, b).rows == _matmul_reference(a, b)
+        assert matmul(PolyMat.zero(field, 4, 2), b).rows == PolyMat.zero(field, 4, 3).rows
+        assert matmul(a, PolyMat.zero(field, 2, 2)).rows == PolyMat.zero(field, 3, 2).rows
+
+
+def test_matmul_slabs_match_schoolbook(rng, monkeypatch):
+    # a slab of one or a few pairs, so that pairs cross slab boundaries
+    from popov_interp import polymat
+
+    for slab in (1, 50, 777):
+        monkeypatch.setattr(polymat, "_MATMUL_SLAB", slab)
+        for p in (97, 2**31 - 1):
+            field = Modulus(p)
+            a = _random_polymat(rng, field, 4, 5, (0, 1, 4, 9))
+            b = _random_polymat(rng, field, 5, 3, (0, 2, 6))
+            assert matmul(a, b).rows == _matmul_reference(a, b)
+
+
+def test_packed_view_round_trip(rng):
+    import numpy as np
+
+    for p in PRIMES:
+        field = Modulus(p)
+        for _ in range(10):
+            mat = _random_polymat(rng, field, rng.randint(1, 4), rng.randint(1, 4), (0, 1, 3, 8))
+            coeffs = mat.coeffs
+            assert not coeffs.flags.writeable
+            assert coeffs.shape[2] == max(len(e) for row in mat.rows for e in row)
+            assert PolyMat.from_coeffs(field, coeffs).rows == mat.rows
+            # trailing zero degrees are cut off, entry by entry and overall
+            padded = np.concatenate([coeffs, np.zeros((mat.nrows, mat.ncols, 3), np.int64)], 2)
+            back = PolyMat.from_coeffs(field, padded)
+            assert back == mat and back.coeffs.shape == coeffs.shape
+            assert (back.lengths == mat.lengths).all()
+    zero = PolyMat.zero(F, 2, 3)
+    assert zero.coeffs.shape == (2, 3, 0)
+    assert PolyMat.from_coeffs(F, np.zeros((2, 3, 4), np.int64)).rows == zero.rows
+    assert PolyMat.from_coeffs(F, zero.coeffs) == zero
 
 
 def test_weak_popov_row_degree_det_identity(rng):

@@ -85,10 +85,33 @@ def test_known_mindeg_random_equality(rng):
 def test_known_mindeg_rejects_wrong_degree():
     inst = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, (2,)),)), (0, 0))
     # (1, 1) exceeds the expanded column degrees; (3, 0) leaves the
-    # leading matrix singular
-    for wrong in ((1, 1), (3, 0)):
+    # leading matrix singular; (0, 2) rebuilds [[1, -1], [0, X**2]], whose
+    # row 0 has its pivot in column 1
+    for wrong in ((1, 1), (3, 0), (0, 2)):
         with pytest.raises(ValueError, match="inconsistent minimal degree"):
             known_mindeg_mib(inst, wrong)
+
+
+def test_known_mindeg_rejects_wrong_degree_with_true_sum(rng):
+    # an s-Popov matrix of interpolants whose degrees sum to the true sum
+    # generates the module, so it is the s-Popov basis: with any other
+    # degrees of that sum the rebuild must raise
+    tried = 0
+    while tried < 60:
+        inst = random_instance(rng, sigma_range=(2, 16), m_range=(2, 4))
+        if inst.sigma < inst.m:
+            continue
+        _, delta = iterative_mib(inst)
+        i, j = rng.sample(range(inst.m), 2)
+        if delta[i] == 0:
+            continue
+        k = rng.randint(1, delta[i])
+        wrong = list(delta)
+        wrong[i] -= k
+        wrong[j] += k
+        with pytest.raises(ValueError, match="inconsistent minimal degree"):
+            known_mindeg_mib(inst, tuple(wrong))
+        tried += 1
 
 
 def _normalize_direct(linv, rbasis: PolyMat) -> PolyMat:

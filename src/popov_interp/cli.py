@@ -82,7 +82,7 @@ def instance_to_json(inst: InterpInstance) -> dict:
         "p": inst.field.p,
         "m": inst.m,
         "jordan": inst.jordan.to_json()["groups"],
-        "E": [list(r) for r in inst.E],
+        "E": inst.E.tolist(),
         "shift": list(inst.shift),
     }
 

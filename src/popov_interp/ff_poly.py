@@ -13,7 +13,7 @@ bit-identical coefficient lists.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -160,10 +160,6 @@ def poly_trim(c: Poly) -> Poly:
     return c
 
 
-def poly_from_ints(values: Sequence[int], p: int) -> Poly:
-    return poly_trim([v % p for v in values])
-
-
 def poly_deg(a: Poly) -> Degree:
     return len(a) - 1 if a else NEG_INF
 
@@ -292,12 +288,6 @@ def poly_mul_trunc(a: Poly, b: Poly, k: int, field: Modulus) -> Poly:
     if k <= 0 or not a or not b:
         return []
     return poly_trim(poly_mul(a[:k], b[:k], field)[:k])
-
-
-def poly_truncate(a: Poly, k: int) -> Poly:
-    if k <= 0:
-        return []
-    return poly_trim(a[:k])
 
 
 def poly_shift_up(a: Poly, k: int) -> Poly:

@@ -6,12 +6,15 @@ of length sigma into a module over the polynomial ring via
 from the right, so multiplying by X on a block with eigenvalue x is
 ``w[t] = x*v[t] + v[t-1]`` with no carry across a block start.
 
+Module matrices E are ``(m, sigma)`` int64 arrays of residues:
+``standardize`` permutes their columns and ``residual`` returns one.
 Residuals ``P . E`` of a polynomial matrix against a module matrix use
 ``p . e = sum_k p_k * (X**k . e)``: the coefficients of P times the
 stacked Krylov rows ``X**k . E_j``, one modular matrix product.  The
-direct path, which identifies each block with a truncated power series
-and computes ``p(X + x_j) * f_j  mod  X**(size_j)``, shares no code with
-it and serves as the independent verification oracle.
+direct path, on lists of Python integers, identifies each block with a
+truncated power series and computes ``p(X + x_j) * f_j  mod  X**(size_j)``;
+it shares no code with the residual and serves as the independent
+verification oracle.
 """
 
 from __future__ import annotations
@@ -87,19 +90,20 @@ class JordanSpec:
         return cls(tuple(groups))
 
 
-def standardize(blocks: Iterable[Block], rows: ModuleRows):
+def standardize(blocks: Iterable[Block], rows) -> Tuple[JordanSpec, np.ndarray]:
     """Standard representation of a block list, permuting E accordingly.
 
     Blocks group by eigenvalue, sizes sort non-increasing within a group,
     groups sort by non-increasing count with ties broken by ascending
     eigenvalue residue; the same block permutation is applied to the
-    column blocks of the given module rows.
+    column blocks of the given module rows, which come back as an array.
     """
     blocks = list(blocks)
     if any(n <= 0 for _, n in blocks):
         raise ValueError("block sizes must be positive")
     sigma = sum(n for _, n in blocks)
-    if any(len(r) != sigma for r in rows):
+    rows = np.asarray(rows)
+    if rows.shape != (len(rows), sigma):
         raise ValueError("module rows do not match the block sizes")
     offsets = []
     pos = 0
@@ -119,14 +123,8 @@ def standardize(blocks: Iterable[Block], rows: ModuleRows):
         spec_groups.append((x, tuple(n for n, _ in members)))
         order.extend(idx for _, idx in members)
 
-    new_rows = []
-    for r in rows:
-        out = []
-        for idx in order:
-            off = offsets[idx]
-            out.extend(r[off : off + blocks[idx][1]])
-        new_rows.append(out)
-    return JordanSpec(tuple(spec_groups)), new_rows
+    perm = [t for idx in order for t in range(offsets[idx], offsets[idx] + blocks[idx][1])]
+    return JordanSpec(tuple(spec_groups)), rows[:, perm]
 
 
 def apply_poly_row(pl: Poly, row: Sequence[int], jordan: JordanSpec, field: Modulus) -> List[int]:
@@ -172,10 +170,13 @@ _KRYLOV_SLAB = 1 << 21
 
 
 def x_powers(rows, jordan: JordanSpec, field: Modulus, d: int, stride: int = 1) -> np.ndarray:
-    """The int64 array K with K[k, j] = X**(k*stride) . rows[j], 0 <= k <= d."""
+    """The int64 array K with K[k, j] = X**(k*stride) . rows[j], 0 <= k <= d.
+
+    The rows are residues, read as they are.
+    """
     p = field.p
     sigma = jordan.total
-    v = np.array(rows, dtype=np.int64).reshape(len(rows), sigma) % p
+    v = np.asarray(rows, dtype=np.int64).reshape(len(rows), sigma)
     xs = np.repeat(
         np.array([x % p for x, _ in jordan.blocks], dtype=np.int64),
         [n for _, n in jordan.blocks],
@@ -195,8 +196,8 @@ def x_powers(rows, jordan: JordanSpec, field: Modulus, d: int, stride: int = 1) 
     return out
 
 
-def residual(pmat: PolyMat, rows: ModuleRows, jordan: JordanSpec) -> ModuleRows:
-    """P . E as one Krylov-matrix product.
+def residual(pmat: PolyMat, rows: np.ndarray, jordan: JordanSpec) -> np.ndarray:
+    """P . E as one Krylov-matrix product, an (nrows, sigma) int64 array.
 
     With P's packed coefficients read as an (nrows, d*m) array, entry
     (i, k*m + j) holding the coefficient of X**k in p_ij, the residual is
@@ -225,4 +226,4 @@ def residual(pmat: PolyMat, rows: ModuleRows, jordan: JordanSpec) -> ModuleRows:
         )
         out = (out + part) % p
         v = krylov[n]
-    return out.tolist()
+    return out

@@ -12,7 +12,11 @@ path is checked against.
 ``solve_halves`` is the split shared by both divide-and-conquer engines:
 it cuts the constraint space in two, solves the left half, pushes the
 residual through, and solves the right half with the shift bumped by the
-left pivot degrees.  ``minimal_interpolation_basis`` (the Mib) multiplies
+left pivot degrees.  The module matrix ``InterpInstance.E`` is one
+``(m, sigma)`` int64 array of residues; the halves and the residual are
+column slices of such arrays, so it keeps that form down to every leaf.
+The list-based iterative engine and the verification path read
+``E.tolist()``.  ``minimal_interpolation_basis`` (the Mib) multiplies
 the two bases and adds their pivot degrees; its output is a shifted
 diagonal weak Popov basis, not normalized.
 
@@ -32,7 +36,6 @@ from . import linalg
 from .ff_poly import Modulus, Poly, poly_mul_x_plus, poly_sub_scaled, poly_trim
 from .jordan_module import (
     JordanSpec,
-    ModuleRows,
     residual,
     residual_direct,
     standardize,
@@ -44,28 +47,41 @@ MinimalDegree = Tuple[int, ...]
 
 @dataclass
 class InterpInstance:
-    """An interpolation problem: module rows E, Jordan data J, shift s."""
+    """An interpolation problem: module rows E, Jordan data J, shift s.
+
+    E may be given as rows of integers of any size or as an integer
+    array; it is stored as a read-only ``(m, sigma)`` int64 array of
+    residues.
+    """
 
     field: Modulus
-    E: ModuleRows
+    E: np.ndarray
     jordan: JordanSpec
     shift: Tuple[int, ...]
 
     def __post_init__(self):
         self.shift = tuple(int(v) for v in self.shift)
         sigma = self.jordan.total
-        if len(self.E) != len(self.shift):
+        m = len(self.E)
+        if m != len(self.shift):
             raise ValueError("shift length must equal the number of rows of E")
-        if not self.E:
+        if m == 0:
             raise ValueError("E needs at least one row")
-        if any(len(r) != sigma for r in self.E):
-            raise ValueError("E columns do not match the Jordan matrix size")
         p = self.field.p
-        self.E = [[c % p for c in r] for r in self.E]
+        try:
+            E = np.asarray(self.E, dtype=np.int64)
+        except OverflowError:
+            # beyond int64: reduce each entry first
+            E = np.array([[c % p for c in r] for r in self.E], dtype=np.int64)
+        if E.shape != (m, sigma):
+            raise ValueError("E columns do not match the Jordan matrix size")
+        E = E % p
+        E.flags.writeable = False
+        self.E = E
 
     @property
     def m(self) -> int:
-        return len(self.E)
+        return self.E.shape[0]
 
     @property
     def sigma(self) -> int:
@@ -77,7 +93,7 @@ def interpolant_check(row: Sequence[Poly], inst: InterpInstance) -> bool:
     if len(row) != inst.m:
         raise ValueError("row length does not match the instance")
     rmat = PolyMat(inst.field, [[list(e) for e in row]])
-    res = residual_direct(rmat, inst.E, inst.jordan)
+    res = residual_direct(rmat, inst.E.tolist(), inst.jordan)
     return not any(res[0])
 
 
@@ -97,7 +113,7 @@ def _iterative_engine(inst: InterpInstance):
     basis: List[List[Poly]] = [
         [[1] if j == i else [] for j in range(m)] for i in range(m)
     ]
-    res = [list(r) for r in inst.E]
+    res = inst.E.tolist()
     sdeg = list(s)
     steps = [0] * m
 
@@ -176,7 +192,7 @@ def split_leading(inst: InterpInstance):
             blocks1.append((x, cut - pos))
             blocks2.append((x, pos + n - cut))
         pos += n
-    j1, e1 = standardize(blocks1, [r[:cut] for r in inst.E])
+    j1, e1 = standardize(blocks1, inst.E[:, :cut])
     inst1 = InterpInstance(inst.field, e1, j1, inst.shift)
     return inst1, blocks2, cut
 
@@ -195,7 +211,7 @@ def solve_halves(
     inst1, blocks2, cut = split_leading(inst)
     p1, d1 = solve(inst1)
     rem = residual(p1, inst.E, inst.jordan)
-    j2, e2 = standardize(blocks2, [r[cut:] for r in rem])
+    j2, e2 = standardize(blocks2, rem[:, cut:])
     shift2 = tuple(sv + dv for sv, dv in zip(inst.shift, d1))
     p2, d2 = solve(InterpInstance(inst.field, e2, j2, shift2))
     return p1, d1, p2, d2
@@ -243,7 +259,7 @@ def kernel_oracle(inst: InterpInstance, bound: int) -> List[List[Poly]]:
         for i in range(m):
             if counts[i] == 0:
                 continue
-            v = np.array(inst.E[i], dtype=np.int64) % p
+            v = inst.E[i]
             rows[at] = v
             at += 1
             for _ in range(1, counts[i]):

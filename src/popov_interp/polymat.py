@@ -8,8 +8,9 @@ normalization from weak Popov form to the canonical Popov form.
 
 A matrix has two views, each built on first access: ``rows``, a grid of
 coefficient lists, and ``coeffs``, one packed int64 coefficient array.
-The iterative engine, the normalization, the predicates and verification
-read the rows; the divide-and-conquer Mib reads the array, through
+The iterative engine, the normalization, the other predicates and
+verification read the rows; ``is_popov`` reads the entry lengths and the
+diagonal of the array; the divide-and-conquer Mib reads the array, through
 ``matmul``, the residual and the known-degree rebuild, so its bases stay
 packed from the base case to the rebuild.
 """
@@ -17,7 +18,7 @@ packed from the base case to the rebuild.
 from __future__ import annotations
 
 from itertools import chain
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,6 +191,21 @@ def row_sdeg(row: Sequence[Poly], s: Sequence[int]) -> int:
     return best
 
 
+def _pivot_index(lengths: Iterable[int], s: Sequence[int]) -> int:
+    """Index of the rightmost entry reaching the s-degree, -1 for a zero row.
+
+    Read off the entry lengths (degree plus one, 0 for zero); shifts are
+    integers of any size, compared in Python.
+    """
+    best = NEG_INF
+    idx = -1
+    for j, (n, sj) in enumerate(zip(lengths, s)):
+        if n and n - 1 + sj >= best:
+            best = n - 1 + sj
+            idx = j
+    return idx
+
+
 def pivot_profile(row, s: Sequence[int]) -> PivotProfile:
     """Rightmost entry reaching the s-degree, with its degree.
 
@@ -199,12 +215,7 @@ def pivot_profile(row, s: Sequence[int]) -> PivotProfile:
         if row.nrows != 1:
             raise ValueError("pivot profile is defined for a single row")
         row = row.rows[0]
-    best = NEG_INF
-    idx = -1
-    for j, (e, sj) in enumerate(zip(row, s)):
-        if e and len(e) - 1 + sj >= best:
-            best = len(e) - 1 + sj
-            idx = j
+    idx = _pivot_index(map(len, row), s)
     if idx < 0:
         raise ValueError("zero row has no s-degree")
     return PivotProfile(idx, len(row[idx]) - 1)
@@ -254,22 +265,23 @@ def is_weak_popov(m: PolyMat, s: Sequence[int], diagonal: bool = False) -> bool:
 
 
 def is_popov(m: PolyMat, s: Sequence[int]) -> bool:
-    """Monic diagonal pivots, nonpivot column entries below the pivot degree."""
+    """Monic diagonal pivots, nonpivot column entries below the pivot degree.
+
+    Read off the entry lengths and the diagonal of the packed array.
+    """
     s = _check_shift(m.ncols, s)
     if m.nrows != m.ncols:
         raise ValueError("Popov form is defined for square matrices")
-    for i, row in enumerate(m.rows):
-        if not any(e for e in row):
-            return False
-        piv = pivot_profile(row, s)
-        if piv.index != i or row[i][-1] != 1:
-            return False
-    for j in range(m.ncols):
-        dj = len(m.rows[j][j]) - 1
-        for i in range(m.nrows):
-            if i != j and len(m.rows[i][j]) - 1 >= dj:
-                return False
-    return True
+    lengths = m.lengths
+    diag = np.arange(m.nrows)
+    dlen = lengths[diag, diag]
+    if not dlen.all() or (m.coeffs[diag, diag, dlen - 1] != 1).any():
+        return False
+    off = lengths.copy()
+    off[diag, diag] = 0
+    if (off >= dlen).any():
+        return False
+    return all(_pivot_index(row, s) == i for i, row in enumerate(lengths.tolist()))
 
 
 def pivot_degrees(m: PolyMat, s: Sequence[int]) -> Tuple[int, ...]:

@@ -28,12 +28,17 @@ interpolants.  That it generates the module is not checked: it does
 when the degrees sum to the true minimal degree sum, the degree of the
 determinant of every interpolation basis, but a wrong degree tuple with
 a larger sum can pass and yield a basis of a proper submodule.
+
+Nothing is recorded along the way.  ``popov_mib`` recurses, and calls
+``solve_halves``, ``known_mindeg_mib`` and the Mib, through their
+module-level names, so a caller that wants to see every split wraps
+those bindings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from .mib_engine import (
     minimal_interpolation_basis,
     solve_halves,
 )
-from .polymat import PolyMat
+from .polymat import PolyMat, is_popov
 
 
 @dataclass(frozen=True)
@@ -64,31 +69,6 @@ class ExpansionPlan:
     alpha: Tuple[int, ...]
     deltabar: Tuple[int, ...]
     group_offsets: Tuple[int, ...]
-
-
-@dataclass
-class SplitRecord:
-    """One divide-and-conquer node, recorded for verification."""
-
-    instance: InterpInstance
-    left: PolyMat
-    left_degree: MinimalDegree
-    right: PolyMat
-    right_degree: MinimalDegree
-    mindeg: MinimalDegree
-    popov: PolyMat
-
-
-@dataclass
-class KnownDegreeRecord:
-    """Intermediate data of one known-minimal-degree rebuild."""
-
-    instance: InterpInstance
-    mindeg: MinimalDegree
-    plan: ExpansionPlan
-    rbasis: PolyMat
-    leading: np.ndarray
-    popov: PolyMat
 
 
 def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
@@ -114,36 +94,7 @@ def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
     )
 
 
-def _is_popov_at(popov: PolyMat, shift, mindeg: MinimalDegree) -> bool:
-    """Whether popov is in s-Popov form with diagonal degrees mindeg.
-
-    Read off the entry lengths: a monic diagonal of degree mindeg, the
-    rest of column j below degree mindeg[j], and the s-pivot of every row
-    on the diagonal.  Shifts are Python integers of any size, so the
-    pivots are compared in Python, m**2 comparisons.
-    """
-    lengths = popov.lengths
-    deg = np.array(mindeg, dtype=np.int64)
-    diag = np.arange(len(mindeg))
-    if (lengths[diag, diag] != deg + 1).any() or (popov.coeffs[diag, diag, deg] != 1).any():
-        return False
-    off = lengths.copy()
-    off[diag, diag] = 0
-    if (off > deg).any():
-        return False
-    for i, row in enumerate(lengths.tolist()):
-        # the diagonal is the rightmost entry of largest s-degree
-        top = (mindeg[i] + shift[i], i)
-        if any(n and (n - 1 + shift[j], j) > top for j, n in enumerate(row)):
-            return False
-    return True
-
-
-def known_mindeg_mib(
-    inst: InterpInstance,
-    mindeg: MinimalDegree,
-    trace: Optional[list] = None,
-) -> PolyMat:
+def known_mindeg_mib(inst: InterpInstance, mindeg: MinimalDegree) -> PolyMat:
     """The s-Popov interpolation basis, given its true diagonal degrees.
 
     Raises ValueError("inconsistent minimal degree") when the expanded
@@ -158,7 +109,7 @@ def known_mindeg_mib(
     plan = build_expansion(mindeg, m, inst.sigma)
 
     krylov = x_powers(inst.E, inst.jordan, field, max(plan.alpha) - 1, plan.chunk)
-    ebar = [krylov[k, i].tolist() for i, a in enumerate(plan.alpha) for k in range(a)]
+    ebar = np.concatenate([krylov[:a, i] for i, a in enumerate(plan.alpha)])
     engine_shift = tuple(plan.chunk - d for d in plan.deltabar)
     rinst = InterpInstance(field, ebar, inst.jordan, engine_shift)
     rbasis, _ = minimal_interpolation_basis(rinst)
@@ -189,25 +140,13 @@ def known_mindeg_mib(
             coeffs[:, j, lo : lo + plan.deltabar[u] + 1] += pbar[:, starts[u] : starts[u + 1]]
     coeffs %= p
     popov = PolyMat.from_coeffs(field, coeffs)
-    if not _is_popov_at(popov, inst.shift, mindeg):
+    diagonal = popov.lengths.diagonal().tolist()
+    if diagonal != [d + 1 for d in mindeg] or not is_popov(popov, inst.shift):
         raise ValueError("inconsistent minimal degree")
-    if trace is not None:
-        trace.append(
-            KnownDegreeRecord(
-                instance=inst,
-                mindeg=mindeg,
-                plan=plan,
-                rbasis=rbasis,
-                leading=lead,
-                popov=popov,
-            )
-        )
     return popov
 
 
-def popov_mib(
-    inst: InterpInstance, trace: Optional[list] = None
-) -> Tuple[PolyMat, MinimalDegree]:
+def popov_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """The s-Popov interpolation basis and the s-minimal degree.
 
     Up to m constraints this is ``iterative_mib``.  Otherwise
@@ -216,19 +155,6 @@ def popov_mib(
     """
     if inst.sigma <= inst.m:
         return iterative_mib(inst)
-    p1, d1, p2, d2 = solve_halves(inst, lambda sub: popov_mib(sub, trace))
+    _, d1, _, d2 = solve_halves(inst, popov_mib)
     mindeg = tuple(a + b for a, b in zip(d1, d2))
-    popov = known_mindeg_mib(inst, mindeg, trace)
-    if trace is not None:
-        trace.append(
-            SplitRecord(
-                instance=inst,
-                left=p1,
-                left_degree=d1,
-                right=p2,
-                right_degree=d2,
-                mindeg=mindeg,
-                popov=popov,
-            )
-        )
-    return popov, mindeg
+    return known_mindeg_mib(inst, mindeg), mindeg

@@ -4,11 +4,15 @@ Random instances are always built from a seeded Random so failures
 reproduce; the acceptance suite reuses the same generator.
 """
 
+import importlib
 import random
 
 import pytest
 
 from popov_interp import InterpInstance, JordanSpec, Modulus, standardize
+
+# the module; the package exports its driver function under the same name
+POPOV_MIB = importlib.import_module("popov_interp.popov_mib")
 
 NTT_PRIME = 998244353
 
@@ -55,6 +59,43 @@ def random_instance(
     else:
         shift = tuple(rng.randint(0, m * sigma) for _ in range(m))
     return InterpInstance(field, rows, jordan, shift)
+
+
+def capture(monkeypatch, name):
+    """Record ``(args, result)`` of every call made through ``popov_mib.<name>``.
+
+    The divide-and-conquer driver calls ``solve_halves``,
+    ``known_mindeg_mib`` and ``minimal_interpolation_basis`` through
+    those module-level bindings, so wrapping them sees every split.
+    """
+    calls = []
+    original = getattr(POPOV_MIB, name)
+
+    def recorded(*args):
+        out = original(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(POPOV_MIB, name, recorded)
+    return calls
+
+
+def splits_of(halves, rebuilds):
+    """Pair each ``solve_halves`` call with the rebuild of the same node.
+
+    ``halves`` and ``rebuilds`` are the ``capture`` lists of one
+    ``popov_mib`` run.  Yields the node's instance, the halves' bases
+    and degrees, the degrees the rebuild was given, and its output.
+    """
+    rebuilt = {id(args[0]): (args[1], out) for args, out in rebuilds}
+    assert len(rebuilt) == len(halves) == len(rebuilds)
+    for (inst, _), (left, d1, right, d2) in halves:
+        yield (inst, left, d1, right, d2) + rebuilt[id(inst)]
+
+
+def leading_at(pmat, degrees):
+    """Entry (i, u) is the coefficient of degree degrees[u] of pmat[i][u]."""
+    return [[e[d] if d < len(e) else 0 for e, d in zip(row, degrees)] for row in pmat.rows]
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ Every tolerance is exact; the scaling benchmark is reported only.
 import random
 import time
 
-from conftest import random_instance
+from conftest import capture, leading_at, random_instance, splits_of
 from popov_interp import (
     InterpInstance,
     Modulus,
@@ -36,7 +36,7 @@ from popov_interp.cli import main as cli_main
 from popov_interp.ff_poly import poly_deg, poly_mul_trunc
 from popov_interp.linalg import inv_mod
 from popov_interp.polymat import pivot_degrees, row_sdeg
-from popov_interp.popov_mib import KnownDegreeRecord, SplitRecord
+from popov_interp.popov_mib import build_expansion
 
 SEED = 0xC0FFEE
 PRIMES = (97, 998244353)
@@ -92,48 +92,49 @@ def test_criterion_2_kernel_dimension_certificate():
           f"match sum(max(0, D - s_i - delta_i + 1)), {elapsed:.1f}s")
 
 
-def test_criterion_3_pivot_degree_additivity():
+def test_criterion_3_pivot_degree_additivity(monkeypatch):
     rng = random.Random(SEED + 3)
+    halves = capture(monkeypatch, "solve_halves")
+    rebuilds = capture(monkeypatch, "known_mindeg_mib")
     done = 0
     splits_checked = 0
     while done < 50:
         inst = random_instance(rng, p=PRIMES[done % 2], sigma_range=(2, 32), m_range=(1, 5))
         if inst.sigma <= inst.m:
             continue
-        trace = []
-        popov_mib(inst, trace=trace)
-        for rec in (r for r in trace if isinstance(r, SplitRecord)):
-            s = rec.instance.shift
-            assert rec.mindeg == tuple(
-                a + b for a, b in zip(rec.left_degree, rec.right_degree)
-            )
-            prod = matmul(rec.right, rec.left)
+        halves.clear()
+        rebuilds.clear()
+        popov_mib(inst)
+        for node, left, d1, right, d2, mindeg, popov in splits_of(halves, rebuilds):
+            s = node.shift
+            assert mindeg == tuple(a + b for a, b in zip(d1, d2))
+            prod = matmul(right, left)
             assert is_weak_popov(prod, s, diagonal=True)
-            assert pivot_degrees(prod, s) == rec.mindeg
-            assert weak_popov_to_popov(prod, s).rows == rec.popov.rows
+            assert pivot_degrees(prod, s) == mindeg
+            assert weak_popov_to_popov(prod, s).rows == popov.rows
             splits_checked += 1
         done += 1
     print(f"\nACCEPTANCE 3: PASS - {done} instances, {splits_checked} splits: "
           f"delta = delta1 + delta2 and P2*P1 normalizes to P")
 
 
-def test_criterion_4_known_degree_path():
+def test_criterion_4_known_degree_path(monkeypatch):
     rng = random.Random(SEED + 4)
+    mibs = capture(monkeypatch, "minimal_interpolation_basis")
     done = 0
     while done < 100:
         inst = random_instance(rng, p=PRIMES[done % 2], sigma_range=(1, 40), m_range=(1, 5))
         if inst.sigma < inst.m:
             continue
         popov, delta = iterative_mib(inst)
-        trace = []
-        rebuilt = known_mindeg_mib(inst, delta, trace=trace)
+        mibs.clear()
+        rebuilt = known_mindeg_mib(inst, delta)
         assert rebuilt.rows == popov.rows
-        rec = next(r for r in trace if isinstance(r, KnownDegreeRecord))
-        for u, want in enumerate(rec.plan.deltabar):
-            assert max(
-                poly_deg(rec.rbasis.rows[t][u]) for t in range(rec.rbasis.nrows)
-            ) == want
-        assert inv_mod(rec.leading, inst.field.p) is not None
+        [(_, (rbasis, _))] = mibs
+        deltabar = build_expansion(delta, inst.m, inst.sigma).deltabar
+        for u, want in enumerate(deltabar):
+            assert max(poly_deg(rbasis.rows[t][u]) for t in range(rbasis.nrows)) == want
+        assert inv_mod(leading_at(rbasis, deltabar), inst.field.p) is not None
         done += 1
     print(f"\nACCEPTANCE 4: PASS - {done} instances: true delta reproduces the "
           f"Popov basis, R has column degree deltabar, leading matrix invertible")
@@ -269,4 +270,7 @@ def test_criterion_9_scaling_report(tmp_path):
         rp = rows[("popov", hi)] / rows[("popov", lo)]
         ri = rows[("iterative", hi)] / rows[("iterative", lo)]
         report.append(f"sigma {lo}->{hi}: popov x{rp:.2f}, iterative x{ri:.2f}")
+    for sigma in (128, 256, 512):
+        ratio = rows[("popov", sigma)] / rows[("iterative", sigma)]
+        report.append(f"sigma {sigma}: popov/iterative {ratio:.2f}")
     print("\nACCEPTANCE 9: REPORTED (non-blocking) - " + "; ".join(report))

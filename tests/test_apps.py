@@ -82,7 +82,7 @@ def test_order_basis_order_conditions(rng):
 def test_gs_worked_example():
     prob = GSProblem(F, 1, ((0,), (1,)), ((0, (1,)),), (1,), (0,))
     inst = gs_instance(prob)
-    assert inst.E == [[1], [1]]
+    assert inst.E.tolist() == [[1], [1]]
     assert inst.jordan.blocks == ((0, 1),)
     assert inst.shift == (0, 0)
     basis, _ = popov_mib(inst)

@@ -1,0 +1,64 @@
+"""Differential tests of the two engines on the edge shapes of the input.
+
+Hypothesis runs derandomized and without an example database, so the
+cases are the same on every run and nothing is written to disk.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from popov_interp import InterpInstance, Modulus, is_popov, iterative_mib, popov_mib, standardize
+
+# small, middle, NTT-friendly, and the largest prime below 2**31 (int64 edge)
+FIELDS = {p: Modulus(p) for p in (3, 97, 998244353, 2**31 - 1)}
+BIG = 2**70
+
+FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def instances(draw):
+    """An instance with sigma from 0, sigma < m, few (so repeated)
+    eigenvalues, zero rows of E, and shifts out to +-2**70."""
+    p = draw(st.sampled_from(sorted(FIELDS)))
+    m = draw(st.integers(1, 4))
+    sigma = draw(st.integers(0, 12))
+    eigs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+    blocks = []
+    left = sigma
+    while left:
+        n = draw(st.integers(1, left))
+        blocks.append((draw(st.sampled_from(eigs)), n))
+        left -= n
+    residues = st.lists(st.integers(0, p - 1), min_size=sigma, max_size=sigma)
+    rows = [[0] * sigma if draw(st.booleans()) else draw(residues) for _ in range(m)]
+    jordan, rows = standardize(blocks, rows)
+    offset = draw(st.sampled_from((0, BIG, -BIG)))
+    entry = st.one_of(st.integers(-3 * sigma - 3, 3 * sigma + 3), st.integers(-BIG, BIG))
+    shift = tuple(offset + draw(entry) for _ in range(m))
+    return InterpInstance(FIELDS[p], rows, jordan, shift)
+
+
+@FIXED
+@given(instances())
+def test_popov_mib_matches_iterative(inst):
+    basis, delta = popov_mib(inst)
+    assert (basis, delta) == iterative_mib(inst)
+    assert is_popov(basis, inst.shift)
+
+
+@FIXED
+@given(instances(), st.data())
+def test_unreduced_E_is_reduced(inst, data):
+    # E given as r + k*p, with |k| around 2**70 (past int64) or within
+    # int64, is the instance of the residues r
+    p = inst.field.p
+    if data.draw(st.booleans()):
+        ks = st.integers(BIG - 2**10, BIG + 2**10)
+    else:
+        ks = st.integers(0, 2**20)
+    sign = st.sampled_from((1, -1))
+    rows = [[r + data.draw(sign) * data.draw(ks) * p for r in row] for row in inst.E.tolist()]
+    other = InterpInstance(inst.field, rows, inst.jordan, inst.shift)
+    assert other.E.tolist() == inst.E.tolist()
+    assert popov_mib(other) == popov_mib(inst)

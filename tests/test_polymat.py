@@ -76,6 +76,56 @@ def test_is_popov_examples():
     assert is_popov(M([[X, []], [[96], ONE]]), (0, 0))
     assert not is_popov(M([[X, []], [X, ONE]]), (0, 0))
     assert not is_popov(M([[[], []], [[], []]]), (0, 0))
+    assert not is_popov(M([[[0, 2], []], [[96], ONE]]), (0, 0))  # diagonal not monic
+    # pivots on the diagonal, but column 0 has a second entry of degree 1
+    assert not is_popov(M([[X, []], [[1, 1], X]]), (0, 0))
+    # shifts past int64 decide the pivot of row 1
+    assert is_popov(M([[X, []], [[96], ONE]]), (0, 2**70))
+    assert not is_popov(M([[X, []], [[96], ONE]]), (2**70, 0))
+
+
+def _is_popov_by_definition(rows, s):
+    """Every row's s-pivot on the diagonal, monic, and the largest entry
+    degree of its column; straight from the polynomial lists."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        sdeg = [(len(e) - 1 + sj, j) for j, (e, sj) in enumerate(zip(row, s)) if e]
+        if not sdeg or max(sdeg)[1] != i or row[i][-1] != 1:
+            return False
+    return all(
+        len(rows[i][j]) < len(rows[j][j]) for i in range(n) for j in range(n) if i != j
+    )
+
+
+def test_is_popov_matches_definition(rng):
+    # near-Popov matrices, built from rows or from a packed array
+    seen = set()
+    for _ in range(3000):
+        p = rng.choice((3, 97, 2**31 - 1))
+        n = rng.randint(1, 4)
+        deg = [rng.randint(0, 3) for _ in range(n)]
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                if i == j and rng.random() < 0.95:
+                    top = 1 if rng.random() < 0.9 else rng.randrange(1, p)
+                    e = [rng.randrange(p) for _ in range(deg[j])] + [top]
+                else:
+                    e = [rng.randrange(p) for _ in range(rng.randint(0, deg[j] + 1))]
+                while e and e[-1] == 0:
+                    e.pop()
+                row.append(e)
+            rows.append(row)
+        big = rng.choice((0, 2**70, -(2**70)))
+        s = tuple(rng.randint(-4, 4) + rng.choice((0, big)) for _ in range(n))
+        mat = PolyMat(Modulus(p), rows)
+        if rng.random() < 0.5:
+            mat = PolyMat.from_coeffs(mat.field, mat.coeffs)
+        want = _is_popov_by_definition(rows, s)
+        assert is_popov(mat, s) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_popov_shift_translation_invariance():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import random_instance
+from conftest import capture, leading_at, random_instance, splits_of
 from popov_interp import (
     InterpInstance,
     JordanSpec,
@@ -20,7 +20,6 @@ from popov_interp import (
 from popov_interp.ff_poly import poly_add, poly_deg, poly_shift_up
 from popov_interp.linalg import inv_mod
 from popov_interp.polymat import pivot_degrees
-from popov_interp.popov_mib import KnownDegreeRecord, SplitRecord
 
 F = Modulus(97)
 
@@ -62,23 +61,24 @@ def test_known_mindeg_identity_case():
     assert known_mindeg_mib(inst, (0, 0)).rows == PolyMat.identity(F, 2).rows
 
 
-def test_known_mindeg_random_equality(rng):
+def test_known_mindeg_random_equality(rng, monkeypatch):
+    mibs = capture(monkeypatch, "minimal_interpolation_basis")
     checked = 0
     while checked < 200:
         inst = random_instance(rng, sigma_range=(1, 40), m_range=(1, 5))
         if inst.sigma < inst.m:
             continue
         popov, delta = iterative_mib(inst)
-        trace = []
-        rebuilt = known_mindeg_mib(inst, delta, trace=trace)
+        mibs.clear()
+        rebuilt = known_mindeg_mib(inst, delta)
         assert rebuilt.rows == popov.rows
-        rec = trace[0]
-        assert isinstance(rec, KnownDegreeRecord)
+        [(_, (rbasis, _))] = mibs
+        deltabar = build_expansion(delta, inst.m, inst.sigma).deltabar
         # the intermediate basis has column degree exactly deltabar
-        for u, want in enumerate(rec.plan.deltabar):
-            col = max(poly_deg(rec.rbasis.rows[t][u]) for t in range(rec.rbasis.nrows))
+        for u, want in enumerate(deltabar):
+            col = max(poly_deg(rbasis.rows[t][u]) for t in range(rbasis.nrows))
             assert col == want
-        assert inv_mod(rec.leading, 97) is not None
+        assert inv_mod(leading_at(rbasis, deltabar), 97) is not None
         checked += 1
 
 
@@ -143,19 +143,20 @@ def _compress(row, plan):
     return out
 
 
-def test_normalize_linearized_matches_direct(rng):
+def test_normalize_linearized_matches_direct(rng, monkeypatch):
+    mibs = capture(monkeypatch, "minimal_interpolation_basis")
     for _ in range(25):
         inst = random_instance(rng, sigma_range=(2, 24), m_range=(2, 4))
         if inst.sigma < inst.m:
             continue
         _, delta = iterative_mib(inst)
-        trace = []
-        known_mindeg_mib(inst, delta, trace=trace)
-        rec = trace[0]
-        plan = rec.plan
-        direct = _normalize_direct(inv_mod(rec.leading, 97), rec.rbasis)
+        mibs.clear()
+        popov = known_mindeg_mib(inst, delta)
+        [(_, (rbasis, _))] = mibs
+        plan = build_expansion(delta, inst.m, inst.sigma)
+        direct = _normalize_direct(inv_mod(leading_at(rbasis, plan.deltabar), 97), rbasis)
         last = [off + a - 1 for off, a in zip(plan.group_offsets, plan.alpha)]
-        assert [_compress(direct.rows[t], plan) for t in last] == rec.popov.rows
+        assert [_compress(direct.rows[t], plan) for t in last] == popov.rows
 
 
 def test_popov_mib_trivial_and_small():
@@ -169,30 +170,30 @@ def test_popov_mib_trivial_and_small():
     assert popov_mib(inst2) == iterative_mib(inst2)
 
 
-def test_popov_mib_split_records(rng):
+def test_popov_mib_split_records(rng, monkeypatch):
+    halves = capture(monkeypatch, "solve_halves")
+    rebuilds = capture(monkeypatch, "known_mindeg_mib")
     seen = 0
     while seen < 10:
         inst = random_instance(rng, sigma_range=(4, 24), m_range=(1, 3))
         if inst.sigma <= inst.m:
             continue
-        trace = []
-        basis, delta = popov_mib(inst, trace=trace)
-        splits = [r for r in trace if isinstance(r, SplitRecord)]
-        assert splits
-        for rec in splits:
-            assert rec.mindeg == tuple(
-                a + b for a, b in zip(rec.left_degree, rec.right_degree)
-            )
-            assert sum(rec.mindeg) <= rec.instance.sigma  # at every level
+        halves.clear()
+        rebuilds.clear()
+        basis, delta = popov_mib(inst)
+        assert halves
+        for node, left, d1, right, d2, mindeg, popov in splits_of(halves, rebuilds):
+            assert mindeg == tuple(a + b for a, b in zip(d1, d2))
+            assert sum(mindeg) <= node.sigma  # at every level
             # the recursive product is diagonal weak Popov with summed
-            # pivot degrees and normalizes to the recorded output
-            prod = matmul(rec.right, rec.left)
-            s = rec.instance.shift
+            # pivot degrees and normalizes to the rebuilt output
+            prod = matmul(right, left)
+            s = node.shift
             assert is_weak_popov(prod, s, diagonal=True)
-            assert pivot_degrees(prod, s) == rec.mindeg
-            assert weak_popov_to_popov(prod, s).rows == rec.popov.rows
+            assert pivot_degrees(prod, s) == mindeg
+            assert weak_popov_to_popov(prod, s).rows == popov.rows
             # the degree tuple matches an independent run on that node
-            assert iterative_mib(rec.instance)[1] == rec.mindeg
+            assert iterative_mib(node)[1] == mindeg
         assert is_popov(basis, inst.shift)
         seen += 1
 

@@ -9,16 +9,17 @@ eliminates it from all rows using the minimal row, multiplies that row by
 canonical shifted Popov form.  It is the reference engine every other
 path is checked against.
 
-``solve_halves`` is the split shared by both divide-and-conquer engines:
-it cuts the constraint space in two, solves the left half, pushes the
-residual through, and solves the right half with the shift bumped by the
-left pivot degrees.  The module matrix ``InterpInstance.E`` is one
-``(m, sigma)`` int64 array of residues; the halves and the residual are
-column slices of such arrays, so it keeps that form down to every leaf.
-The list-based iterative engine and the verification path read
-``E.tolist()``.  ``minimal_interpolation_basis`` (the Mib) multiplies
-the two bases and adds their pivot degrees; its output is a shifted
-diagonal weak Popov basis, not normalized.
+``minimal_interpolation_basis`` (the Mib) is the one divide-and-conquer
+recursion: it cuts the constraint space in two (``split_leading``),
+solves the left half, pushes the residual through, solves the right half
+with the shift bumped by the left pivot degrees, and multiplies the two
+bases.  Its output is a shifted diagonal weak Popov basis, never
+normalized, so for unbalanced shifts it can be far larger than the
+Popov basis; its pivot degrees are the shifted minimal degree.  The
+module matrix ``InterpInstance.E`` is one ``(m, sigma)`` int64 array of
+residues; the halves and the residual are column slices of such arrays,
+so it keeps that form down to every leaf.  The list-based iterative
+engine and the verification path read ``E.tolist()``.
 
 ``kernel_oracle`` ignores all of that and sets up the degree-bounded
 interpolants as a plain kernel computation over the base field; it is the
@@ -28,7 +29,7 @@ independent certificate used by the acceptance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -197,37 +198,25 @@ def split_leading(inst: InterpInstance):
     return inst1, blocks2, cut
 
 
-def solve_halves(
-    inst: InterpInstance, solve: Callable[[InterpInstance], Tuple[PolyMat, MinimalDegree]]
-):
-    """Solve the two halves of the constraint space, left then right.
-
-    The left half comes from ``split_leading``; the residual of its basis
-    P1 against E, restricted to the trailing blocks and re-standardized,
-    is the right half, solved under the shift bumped by the left pivot
-    degrees d1.  Returns ``p1, d1, p2, d2``; P2 * P1 is then an
-    s-diagonal weak Popov interpolation basis with pivot degrees d1 + d2.
-    """
-    inst1, blocks2, cut = split_leading(inst)
-    p1, d1 = solve(inst1)
-    rem = residual(p1, inst.E, inst.jordan)
-    j2, e2 = standardize(blocks2, rem[:, cut:])
-    shift2 = tuple(sv + dv for sv, dv in zip(inst.shift, d1))
-    p2, d2 = solve(InterpInstance(inst.field, e2, j2, shift2))
-    return p1, d1, p2, d2
-
-
 def minimal_interpolation_basis(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """A shifted diagonal weak Popov interpolation basis (not normalized)
     and its pivot degrees.
 
-    Up to m constraints this is the iterative engine's raw output;
-    otherwise the product of the two halves' bases from ``solve_halves``,
-    whose pivot degrees add up.
+    Up to m constraints this is the iterative engine's raw output.
+    Otherwise the left half from ``split_leading`` is solved into P1
+    with pivot degrees d1; the residual of P1 against E, restricted to
+    the trailing blocks and re-standardized, is the right half, solved
+    into P2 under the shift bumped by d1.  P2 * P1 is an s-diagonal weak
+    Popov interpolation basis with pivot degrees d1 + d2.
     """
     if inst.sigma <= inst.m:
         return iterative_weak_popov(inst)
-    p1, d1, p2, d2 = solve_halves(inst, minimal_interpolation_basis)
+    inst1, blocks2, cut = split_leading(inst)
+    p1, d1 = minimal_interpolation_basis(inst1)
+    rem = residual(p1, inst.E, inst.jordan)
+    j2, e2 = standardize(blocks2, rem[:, cut:])
+    shift2 = tuple(sv + dv for sv, dv in zip(inst.shift, d1))
+    p2, d2 = minimal_interpolation_basis(InterpInstance(inst.field, e2, j2, shift2))
     return matmul(p2, p1), tuple(a + b for a, b in zip(d1, d2))
 
 

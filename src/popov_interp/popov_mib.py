@@ -1,10 +1,11 @@
-"""Shifted Popov interpolation bases by divide and conquer.
+"""Shifted Popov interpolation bases: PopovMib -> KnownDegreeMib -> Mib.
 
-The driver ``popov_mib`` never multiplies the two recursively computed
-bases.  It solves the halves with ``mib_engine.solve_halves``, adds their
-pivot degrees - the sum is the minimal degree of the full problem - and
-hands that to ``known_mindeg_mib``, which rebuilds the canonical basis
-from scratch:
+``popov_mib`` runs the divide-and-conquer Mib
+(``minimal_interpolation_basis``) once over the whole instance and keeps
+only its pivot degrees: the shifted pivot degrees of any shifted
+diagonal weak Popov basis are the shifted minimal degree.  It hands them
+to ``known_mindeg_mib``, which rebuilds the canonical basis from scratch,
+once, at the root:
 
 * the columns are partially linearized in degree ceil(sigma/m) against an
   expansion-compression gadget, so the expanded problem has at most 2m
@@ -29,10 +30,18 @@ when the degrees sum to the true minimal degree sum, the degree of the
 determinant of every interpolation basis, but a wrong degree tuple with
 a larger sum can pass and yield a basis of a proper submodule.
 
-Nothing is recorded along the way.  ``popov_mib`` recurses, and calls
-``solve_halves``, ``known_mindeg_mib`` and the Mib, through their
-module-level names, so a caller that wants to see every split wraps
-those bindings.
+This departs from the paper, which normalizes at every node of the
+recursion so that every intermediate basis has O(m*sigma) coefficients
+for any shift.  Here only the root is normalized, and the Mib's bases
+are not so bounded: on ``apps.adversarial_instance(8, 256, 0)`` (16
+rows, sigma = 256) the Mib's basis has 18,007 coefficients against
+the Popov basis's 2,334 and 16*(sigma+1) = 4,112.  One recursion and
+one rebuild are still faster there than a rebuild at every node.
+
+Nothing is recorded along the way.  ``popov_mib`` calls the Mib and
+``known_mindeg_mib`` through their module-level names here, and the Mib
+recurses through its own name in ``mib_engine``, so a caller that wants
+to see every split wraps both bindings.
 """
 
 from __future__ import annotations
@@ -49,7 +58,6 @@ from .mib_engine import (
     MinimalDegree,
     iterative_mib,
     minimal_interpolation_basis,
-    solve_halves,
 )
 from .polymat import PolyMat, is_popov
 
@@ -149,12 +157,10 @@ def known_mindeg_mib(inst: InterpInstance, mindeg: MinimalDegree) -> PolyMat:
 def popov_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """The s-Popov interpolation basis and the s-minimal degree.
 
-    Up to m constraints this is ``iterative_mib``.  Otherwise
-    ``solve_halves`` solves the two halves in s-Popov form, and the sum
-    of their degree tuples is fed to the known-degree rebuild.
+    Up to m constraints this is ``iterative_mib``.  Otherwise the Mib's
+    pivot degrees are fed to the known-degree rebuild.
     """
     if inst.sigma <= inst.m:
         return iterative_mib(inst)
-    _, d1, _, d2 = solve_halves(inst, popov_mib)
-    mindeg = tuple(a + b for a, b in zip(d1, d2))
+    _, mindeg = minimal_interpolation_basis(inst)
     return known_mindeg_mib(inst, mindeg), mindeg

@@ -11,8 +11,9 @@ import pytest
 
 from popov_interp import InterpInstance, JordanSpec, Modulus, standardize
 
-# the module; the package exports its driver function under the same name
+# the modules; the package exports the function popov_mib under the same name
 POPOV_MIB = importlib.import_module("popov_interp.popov_mib")
+MIB_ENGINE = importlib.import_module("popov_interp.mib_engine")
 
 NTT_PRIME = 998244353
 
@@ -61,36 +62,45 @@ def random_instance(
     return InterpInstance(field, rows, jordan, shift)
 
 
-def capture(monkeypatch, name):
-    """Record ``(args, result)`` of every call made through ``popov_mib.<name>``.
+def capture(monkeypatch, name, modules=(POPOV_MIB,)):
+    """Record ``(args, result)`` of every call made through ``<module>.<name>``.
 
-    The divide-and-conquer driver calls ``solve_halves``,
-    ``known_mindeg_mib`` and ``minimal_interpolation_basis`` through
-    those module-level bindings, so wrapping them sees every split.
+    Each module's binding is wrapped, all recording into one list in the
+    order the calls return.  ``popov_mib`` calls ``known_mindeg_mib`` and
+    the Mib through its own bindings, and the Mib recurses through
+    ``mib_engine``'s, so wrapping both Mib bindings sees every split.
     """
     calls = []
-    original = getattr(POPOV_MIB, name)
+    for module in modules:
+        original = getattr(module, name)
 
-    def recorded(*args):
-        out = original(*args)
-        calls.append((args, out))
-        return out
+        def recorded(*args, original=original):
+            out = original(*args)
+            calls.append((args, out))
+            return out
 
-    monkeypatch.setattr(POPOV_MIB, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
     return calls
 
 
-def splits_of(halves, rebuilds):
-    """Pair each ``solve_halves`` call with the rebuild of the same node.
+def mib_splits(calls):
+    """Pair each recorded Mib node with the two halves it multiplied.
 
-    ``halves`` and ``rebuilds`` are the ``capture`` lists of one
-    ``popov_mib`` run.  Yields the node's instance, the halves' bases
-    and degrees, the degrees the rebuild was given, and its output.
+    ``calls`` is a ``capture`` list of ``minimal_interpolation_basis``
+    over both bindings.  A node returns after its halves, so a stack
+    rebuilds the trees: every node with sigma > m pops its right half,
+    then its left.  Returns the splits as ``(node, basis, degrees, left,
+    right)``, each half as ``(instance, basis, degrees)``, and the roots
+    left on the stack in the same form as the halves.
     """
-    rebuilt = {id(args[0]): (args[1], out) for args, out in rebuilds}
-    assert len(rebuilt) == len(halves) == len(rebuilds)
-    for (inst, _), (left, d1, right, d2) in halves:
-        yield (inst, left, d1, right, d2) + rebuilt[id(inst)]
+    stack, splits = [], []
+    for (node,), (basis, degrees) in calls:
+        if node.sigma > node.m:
+            right = stack.pop()
+            left = stack.pop()
+            splits.append((node, basis, degrees, left, right))
+        stack.append((node, basis, degrees))
+    return splits, stack
 
 
 def leading_at(pmat, degrees):

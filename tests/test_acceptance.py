@@ -7,7 +7,7 @@ Every tolerance is exact; the scaling benchmark is reported only.
 import random
 import time
 
-from conftest import capture, leading_at, random_instance, splits_of
+from conftest import MIB_ENGINE, POPOV_MIB, capture, leading_at, mib_splits, random_instance
 from popov_interp import (
     InterpInstance,
     Modulus,
@@ -94,28 +94,30 @@ def test_criterion_2_kernel_dimension_certificate():
 
 def test_criterion_3_pivot_degree_additivity(monkeypatch):
     rng = random.Random(SEED + 3)
-    halves = capture(monkeypatch, "solve_halves")
-    rebuilds = capture(monkeypatch, "known_mindeg_mib")
+    mibs = capture(monkeypatch, "minimal_interpolation_basis", (POPOV_MIB, MIB_ENGINE))
     done = 0
     splits_checked = 0
     while done < 50:
         inst = random_instance(rng, p=PRIMES[done % 2], sigma_range=(2, 32), m_range=(1, 5))
         if inst.sigma <= inst.m:
             continue
-        halves.clear()
-        rebuilds.clear()
-        popov_mib(inst)
-        for node, left, d1, right, d2, mindeg, popov in splits_of(halves, rebuilds):
+        mibs.clear()
+        popov, _ = popov_mib(inst)
+        splits, roots = mib_splits(mibs)
+        # the Mib of the instance, then the one inside the rebuild
+        assert len(roots) == 2 and roots[0][0] is inst
+        for node, basis, mindeg, (_, left, d1), (_, right, d2) in splits:
             s = node.shift
             assert mindeg == tuple(a + b for a, b in zip(d1, d2))
-            prod = matmul(right, left)
-            assert is_weak_popov(prod, s, diagonal=True)
-            assert pivot_degrees(prod, s) == mindeg
-            assert weak_popov_to_popov(prod, s).rows == popov.rows
+            assert basis.rows == matmul(right, left).rows
+            assert is_weak_popov(basis, s, diagonal=True)
+            assert pivot_degrees(basis, s) == mindeg
+            assert weak_popov_to_popov(basis, s).rows == iterative_mib(node)[0].rows
             splits_checked += 1
+        assert weak_popov_to_popov(roots[0][1], inst.shift).rows == popov.rows
         done += 1
     print(f"\nACCEPTANCE 3: PASS - {done} instances, {splits_checked} splits: "
-          f"delta = delta1 + delta2 and P2*P1 normalizes to P")
+          f"delta = delta1 + delta2 and P2*P1 normalizes to the node's Popov basis")
 
 
 def test_criterion_4_known_degree_path(monkeypatch):

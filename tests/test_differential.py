@@ -7,13 +7,24 @@ cases are the same on every run and nothing is written to disk.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popov_interp import InterpInstance, Modulus, is_popov, iterative_mib, popov_mib, standardize
+from popov_interp import (
+    InterpInstance,
+    Modulus,
+    is_popov,
+    iterative_mib,
+    kernel_oracle,
+    popov_mib,
+    standardize,
+)
 
 # small, middle, NTT-friendly, and the largest prime below 2**31 (int64 edge)
 FIELDS = {p: Modulus(p) for p in (3, 97, 998244353, 2**31 - 1)}
 BIG = 2**70
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+# most monomial candidates X**k * e_i a kernel_oracle call may enumerate
+CANDIDATES = 200
 
 
 @st.composite
@@ -45,6 +56,27 @@ def test_popov_mib_matches_iterative(inst):
     basis, delta = popov_mib(inst)
     assert (basis, delta) == iterative_mib(inst)
     assert is_popov(basis, inst.shift)
+
+
+@FIXED
+@given(instances())
+def test_kernel_dimensions_certify_delta(inst):
+    # the interpolants of s-degree at most D span sum(max(0, D - b_i + 1))
+    # dimensions, b = s + delta: convex and piecewise linear, the slope
+    # rising by one at each b_i.  Matching kernel_oracle at D = b_i - 1 and
+    # b_i in increasing order pins the b_i one by one (a true breakpoint
+    # strictly between two checked ones would lift the kernel above the
+    # formula at the later b_i - 1), until the candidates get too many
+    _, delta = popov_mib(inst)
+    s = inst.shift
+    checked = 0
+    for bound in sorted({b + k for b in map(sum, zip(s, delta)) for k in (-1, 0)}):
+        if sum(max(0, bound - si + 1) for si in s) > CANDIDATES:
+            break
+        want = sum(max(0, bound - si - di + 1) for si, di in zip(s, delta))
+        assert len(kernel_oracle(inst, bound)) == want
+        checked += 1
+    assert checked
 
 
 @FIXED

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import capture, leading_at, random_instance, splits_of
+from conftest import MIB_ENGINE, POPOV_MIB, capture, leading_at, mib_splits, random_instance
 from popov_interp import (
     InterpInstance,
     JordanSpec,
@@ -14,9 +14,11 @@ from popov_interp import (
     iterative_mib,
     known_mindeg_mib,
     matmul,
+    minimal_interpolation_basis,
     popov_mib,
     weak_popov_to_popov,
 )
+from popov_interp.apps import adversarial_instance, approximant_instance
 from popov_interp.ff_poly import poly_add, poly_deg, poly_shift_up
 from popov_interp.linalg import inv_mod
 from popov_interp.polymat import pivot_degrees
@@ -171,31 +173,50 @@ def test_popov_mib_trivial_and_small():
 
 
 def test_popov_mib_split_records(rng, monkeypatch):
-    halves = capture(monkeypatch, "solve_halves")
-    rebuilds = capture(monkeypatch, "known_mindeg_mib")
+    mibs = capture(monkeypatch, "minimal_interpolation_basis", (POPOV_MIB, MIB_ENGINE))
     seen = 0
     while seen < 10:
         inst = random_instance(rng, sigma_range=(4, 24), m_range=(1, 3))
         if inst.sigma <= inst.m:
             continue
-        halves.clear()
-        rebuilds.clear()
+        mibs.clear()
         basis, delta = popov_mib(inst)
-        assert halves
-        for node, left, d1, right, d2, mindeg, popov in splits_of(halves, rebuilds):
+        splits, roots = mib_splits(mibs)
+        assert splits and roots[0][0] is inst and roots[0][2] == delta
+        for node, prod, mindeg, (left_node, left, d1), (right_node, right, d2) in splits:
+            assert left_node.sigma == -(-node.sigma // 2)
+            assert left_node.sigma + right_node.sigma == node.sigma
             assert mindeg == tuple(a + b for a, b in zip(d1, d2))
             assert sum(mindeg) <= node.sigma  # at every level
-            # the recursive product is diagonal weak Popov with summed
-            # pivot degrees and normalizes to the rebuilt output
-            prod = matmul(right, left)
+            # the node's basis is the product of its halves, diagonal
+            # weak Popov with summed pivot degrees, and normalizes to the
+            # node's Popov basis
+            assert prod.rows == matmul(right, left).rows
             s = node.shift
             assert is_weak_popov(prod, s, diagonal=True)
             assert pivot_degrees(prod, s) == mindeg
-            assert weak_popov_to_popov(prod, s).rows == popov.rows
+            ref, ref_delta = iterative_mib(node)
+            assert weak_popov_to_popov(prod, s).rows == ref.rows
             # the degree tuple matches an independent run on that node
-            assert iterative_mib(node)[1] == mindeg
+            assert ref_delta == mindeg
         assert is_popov(basis, inst.shift)
         seen += 1
+
+
+def test_popov_mib_rebuilds_once_at_the_root(rng, monkeypatch):
+    rebuilds = capture(monkeypatch, "known_mindeg_mib")
+    leaves = splits = 0
+    while leaves < 5 or splits < 15:
+        inst = random_instance(rng, sigma_range=(0, 48), m_range=(1, 4))
+        rebuilds.clear()
+        basis, delta = popov_mib(inst)
+        if inst.sigma <= inst.m:
+            assert rebuilds == []
+            leaves += 1
+        else:
+            [((node, mindeg), out)] = rebuilds
+            assert node is inst and mindeg == delta and out is basis
+            splits += 1
 
 
 def test_popov_mib_matches_iterative(rng):
@@ -209,6 +230,16 @@ def test_popov_mib_matches_iterative_deep_recursion(rng):
     for p in (97, 998244353):
         inst = random_instance(rng, p=p, sigma_range=(96, 144), m_range=(2, 4))
         assert popov_mib(inst) == iterative_mib(inst)
+    # unbalanced shifts: the Mib's basis outgrows the Popov size bound
+    # that the one rebuild at the root restores
+    for m, sigma in ((4, 128), (8, 64)):
+        for seed in range(2):
+            inst = approximant_instance(adversarial_instance(m, sigma, seed))
+            popov, delta = popov_mib(inst)
+            assert (popov, delta) == iterative_mib(inst)
+            bound = inst.m * (sigma + 1)
+            assert popov.coefficient_count() <= bound
+            assert minimal_interpolation_basis(inst)[0].coefficient_count() > bound
 
 
 def test_popov_mib_matches_iterative_int64_edge(rng):

@@ -329,13 +329,6 @@ def poly_mul_x_plus(a: Poly, c: int, p: int) -> Poly:
     return out
 
 
-def poly_eval(a: Poly, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _binom_digit(n: int, k: int, p: int) -> int:
     if k > n:
         return 0

@@ -1,13 +1,17 @@
 """The multiplication module defined by a Jordan matrix.
 
-A Jordan matrix J, given as eigenvalue/block-size data, turns row vectors
-of length sigma into a module over the polynomial ring via
-``p . e = e * p(J)``.  Blocks are upper bidiagonal and act on row vectors
-from the right, so multiplying by X on a block with eigenvalue x is
-``w[t] = x*v[t] + v[t-1]`` with no carry across a block start.
+A Jordan matrix J, given as a sequence of (eigenvalue, size) blocks in
+constraint order, turns row vectors of length sigma into a module over
+the polynomial ring via ``p . e = e * p(J)``.  Blocks are upper
+bidiagonal and act on row vectors from the right, so multiplying by X on
+a block with eigenvalue x is ``w[t] = x*v[t] + v[t-1]`` with no carry
+across a block start.  Nothing here depends on the order of the blocks
+or on eigenvalues being grouped.
 
 Module matrices E are ``(m, sigma)`` int64 arrays of residues:
-``standardize`` permutes their columns and ``residual`` returns one.
+``standardize`` permutes their columns into the paper's standard
+representation, once, where an instance is made, and ``residual``
+returns one.
 Residuals ``P . E`` of a polynomial matrix against a module matrix use
 ``p . e = sum_k p_k * (X**k . e)``: the coefficients of P times the
 stacked Krylov rows ``X**k . E_j``, one modular matrix product.  The
@@ -19,6 +23,8 @@ verification oracle.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple
@@ -35,96 +41,72 @@ ModuleRows = List[List[int]]
 
 @dataclass(frozen=True)
 class JordanSpec:
-    """Standard representation: groups of blocks sharing an eigenvalue.
+    """A Jordan matrix as its blocks, ``(eigenvalue, size)`` in constraint order.
 
-    Eigenvalues are pairwise distinct across groups, sizes within a group
-    are non-increasing, and groups are ordered by non-increasing block
-    count.
+    Blocks may come in any order and eigenvalues may repeat anywhere:
+    reordering the blocks together with the column blocks of E only
+    reorders the constraints, so the module of interpolants is the same.
     """
 
-    groups: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    blocks: Tuple[Block, ...]
 
     def __post_init__(self):
-        eigs = [x for x, _ in self.groups]
-        if len(set(eigs)) != len(eigs):
-            raise ValueError("eigenvalues must be pairwise distinct across groups")
-        counts = []
-        for _, sizes in self.groups:
-            if not sizes:
-                raise ValueError("empty block group")
-            if any(n <= 0 for n in sizes):
-                raise ValueError("block sizes must be positive")
-            if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
-                raise ValueError("block sizes must be non-increasing within a group")
-            counts.append(len(sizes))
-        if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
-            raise ValueError("groups must have non-increasing block counts")
-
-    @cached_property
-    def blocks(self) -> Tuple[Block, ...]:
-        return tuple((x, n) for x, sizes in self.groups for n in sizes)
+        if any(not isinstance(n, int) or n <= 0 for _, n in self.blocks):
+            raise ValueError("block sizes must be positive integers")
 
     @cached_property
     def offsets(self) -> Tuple[int, ...]:
-        out = []
-        pos = 0
-        for _, n in self.blocks:
-            out.append(pos)
-            pos += n
-        return tuple(out)
+        return tuple(itertools.accumulate((n for _, n in self.blocks), initial=0))[:-1]
 
     @property
     def total(self) -> int:
         return sum(n for _, n in self.blocks)
 
     def to_json(self) -> dict:
-        return {"groups": [[x, list(sizes)] for x, sizes in self.groups]}
+        """The blocks as maximal runs ``[eigenvalue, [sizes...]]`` of one eigenvalue."""
+        runs = []
+        for x, n in self.blocks:
+            if runs and runs[-1][0] == x:
+                runs[-1][1].append(n)
+            else:
+                runs.append([x, [n]])
+        return {"groups": runs}
 
     @classmethod
     def from_json(cls, data: dict, p: int) -> "JordanSpec":
-        groups = []
+        """Expand runs ``[eigenvalue, [sizes...]]`` into blocks, in order."""
+        blocks = []
         for x, sizes in data["groups"]:
             if not isinstance(x, int) or any(not isinstance(n, int) for n in sizes):
                 raise ValueError("eigenvalues and block sizes must be integers")
-            groups.append((x % p, tuple(sizes)))
-        return cls(tuple(groups))
+            if not sizes:
+                raise ValueError("empty block run")
+            blocks.extend((x % p, n) for n in sizes)
+        return cls(tuple(blocks))
 
 
 def standardize(blocks: Iterable[Block], rows) -> Tuple[JordanSpec, np.ndarray]:
-    """Standard representation of a block list, permuting E accordingly.
+    """The paper's standard representation of a block list, permuting E accordingly.
 
     Blocks group by eigenvalue, sizes sort non-increasing within a group,
     groups sort by non-increasing count with ties broken by ascending
-    eigenvalue residue; the same block permutation is applied to the
-    column blocks of the given module rows, which come back as an array.
+    eigenvalue; the same block permutation is applied to the column
+    blocks of the given module rows, which come back as an array.  The
+    engines accept any block order; this is the canonical one the
+    instance generators hand them.
     """
-    blocks = list(blocks)
-    if any(n <= 0 for _, n in blocks):
-        raise ValueError("block sizes must be positive")
-    sigma = sum(n for _, n in blocks)
+    spec = JordanSpec(tuple(blocks))
     rows = np.asarray(rows)
-    if rows.shape != (len(rows), sigma):
+    if rows.shape != (len(rows), spec.total):
         raise ValueError("module rows do not match the block sizes")
-    offsets = []
-    pos = 0
-    for _, n in blocks:
-        offsets.append(pos)
-        pos += n
-
-    by_eig = {}
-    for idx, (x, n) in enumerate(blocks):
-        by_eig.setdefault(x, []).append((n, idx))
-    groups = sorted(by_eig.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-
-    spec_groups = []
-    order = []
-    for x, members in groups:
-        members = sorted(members, key=lambda t: (-t[0], t[1]))
-        spec_groups.append((x, tuple(n for n, _ in members)))
-        order.extend(idx for _, idx in members)
-
-    perm = [t for idx in order for t in range(offsets[idx], offsets[idx] + blocks[idx][1])]
-    return JordanSpec(tuple(spec_groups)), rows[:, perm]
+    blocks = spec.blocks
+    count = Counter(x for x, _ in blocks)
+    order = sorted(
+        range(len(blocks)),
+        key=lambda i: (-count[blocks[i][0]], blocks[i][0], -blocks[i][1], i),
+    )
+    perm = [t for i in order for t in range(spec.offsets[i], spec.offsets[i] + blocks[i][1])]
+    return JordanSpec(tuple(blocks[i] for i in order)), rows[:, perm]
 
 
 def apply_poly_row(pl: Poly, row: Sequence[int], jordan: JordanSpec, field: Modulus) -> List[int]:
@@ -133,7 +115,7 @@ def apply_poly_row(pl: Poly, row: Sequence[int], jordan: JordanSpec, field: Modu
         raise ValueError("row length does not match the Jordan matrix")
     p = field.p
     out = [0] * len(row)
-    shifted = {}  # pl(X + x), once per eigenvalue group
+    shifted = {}  # pl(X + x), once per eigenvalue
     for (x, n), off in zip(jordan.blocks, jordan.offsets):
         f = poly_trim([c % p for c in row[off : off + n]])
         if not f or not pl:

@@ -18,8 +18,11 @@ normalized, so for unbalanced shifts it can be far larger than the
 Popov basis; its pivot degrees are the shifted minimal degree.  The
 module matrix ``InterpInstance.E`` is one ``(m, sigma)`` int64 array of
 residues; the halves and the residual are column slices of such arrays,
-so it keeps that form down to every leaf.  The list-based iterative
-engine and the verification path read ``E.tolist()``.
+so it keeps that form down to every leaf.  The halves keep the Jordan
+blocks in constraint order: the engines read the blocks as a plain
+sequence, in any order and with eigenvalues repeating anywhere, so no
+column permutation happens inside the recursion.  The list-based
+iterative engine and the verification path read ``E.tolist()``.
 
 ``kernel_oracle`` ignores all of that and sets up the degree-bounded
 interpolants as a plain kernel computation over the base field; it is the
@@ -35,12 +38,7 @@ import numpy as np
 
 from . import linalg
 from .ff_poly import Modulus, Poly, poly_mul_x_plus, poly_sub_scaled, poly_trim
-from .jordan_module import (
-    JordanSpec,
-    residual,
-    residual_direct,
-    standardize,
-)
+from .jordan_module import JordanSpec, residual, residual_direct
 from .polymat import PolyMat, matmul, weak_popov_to_popov
 
 MinimalDegree = Tuple[int, ...]
@@ -170,18 +168,14 @@ def iterative_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     return popov, delta
 
 
-def split_leading(inst: InterpInstance):
-    """Leading sub-instance at cut ceil(sigma/2), plus the trailing blocks.
+def split_leading(inst: InterpInstance) -> Tuple[InterpInstance, JordanSpec]:
+    """The leading sub-instance at cut ceil(sigma/2), and the trailing blocks.
 
     The cut may fall inside a block, in which case the block is divided
     into its leading and trailing principal parts with the same
-    eigenvalue.  The leading half is re-standardized here (with the
-    matching column permutation of its module rows); the trailing blocks
-    are returned raw for the caller to standardize once the residual
-    columns are known.
+    eigenvalue.  Both halves keep the blocks in constraint order.
     """
-    sigma = inst.sigma
-    cut = -(-sigma // 2)
+    cut = -(-inst.sigma // 2)
     blocks1, blocks2 = [], []
     pos = 0
     for x, n in inst.jordan.blocks:
@@ -193,9 +187,8 @@ def split_leading(inst: InterpInstance):
             blocks1.append((x, cut - pos))
             blocks2.append((x, pos + n - cut))
         pos += n
-    j1, e1 = standardize(blocks1, inst.E[:, :cut])
-    inst1 = InterpInstance(inst.field, e1, j1, inst.shift)
-    return inst1, blocks2, cut
+    inst1 = InterpInstance(inst.field, inst.E[:, :cut], JordanSpec(tuple(blocks1)), inst.shift)
+    return inst1, JordanSpec(tuple(blocks2))
 
 
 def minimal_interpolation_basis(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
@@ -205,18 +198,18 @@ def minimal_interpolation_basis(inst: InterpInstance) -> Tuple[PolyMat, MinimalD
     Up to m constraints this is the iterative engine's raw output.
     Otherwise the left half from ``split_leading`` is solved into P1
     with pivot degrees d1; the residual of P1 against E, restricted to
-    the trailing blocks and re-standardized, is the right half, solved
-    into P2 under the shift bumped by d1.  P2 * P1 is an s-diagonal weak
-    Popov interpolation basis with pivot degrees d1 + d2.
+    the trailing blocks, is the right half, solved into P2 under the
+    shift bumped by d1.  P2 * P1 is an s-diagonal weak Popov
+    interpolation basis with pivot degrees d1 + d2.
     """
     if inst.sigma <= inst.m:
         return iterative_weak_popov(inst)
-    inst1, blocks2, cut = split_leading(inst)
+    inst1, jordan2 = split_leading(inst)
     p1, d1 = minimal_interpolation_basis(inst1)
     rem = residual(p1, inst.E, inst.jordan)
-    j2, e2 = standardize(blocks2, rem[:, cut:])
     shift2 = tuple(sv + dv for sv, dv in zip(inst.shift, d1))
-    p2, d2 = minimal_interpolation_basis(InterpInstance(inst.field, e2, j2, shift2))
+    inst2 = InterpInstance(inst.field, rem[:, inst1.sigma :], jordan2, shift2)
+    p2, d2 = minimal_interpolation_basis(inst2)
     return matmul(p2, p1), tuple(a + b for a, b in zip(d1, d2))
 
 

@@ -103,6 +103,14 @@ def mib_splits(calls):
     return splits, stack
 
 
+def poly_eval(a, x, p):
+    """a(x) mod p, by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def leading_at(pmat, degrees):
     """Entry (i, u) is the coefficient of degree degrees[u] of pmat[i][u]."""
     return [[e[d] if d < len(e) else 0 for e, d in zip(row, degrees)] for row in pmat.rows]

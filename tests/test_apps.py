@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import random_instance
+from conftest import poly_eval, random_instance
 from popov_interp import (
     InterpInstance,
     Modulus,
@@ -20,7 +20,7 @@ from popov_interp.apps import (
     q_vanishes_at,
     reduce_shift,
 )
-from popov_interp.ff_poly import poly_eval, poly_mul_trunc
+from popov_interp.ff_poly import poly_mul_trunc
 
 F = Modulus(97)
 

@@ -88,9 +88,35 @@ def test_solve_malformed_json(tmp_path, capsys):
 
 
 def test_solve_invalid_instance(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"p": 96, "m": 1, "jordan": [], "E": [[]], "shift": [0]}))
-    assert main(["solve", str(bad)]) == 1
+    cases = [
+        {"p": 96, "m": 1, "jordan": [], "E": [[]], "shift": [0]},
+        # an empty run, and sizes that are not positive
+        {"p": 97, "m": 1, "jordan": [[0, []]], "E": [[]], "shift": [0]},
+        {"p": 97, "m": 1, "jordan": [[0, [0]]], "E": [[]], "shift": [0]},
+        {"p": 97, "m": 1, "jordan": [[0, [-1]]], "E": [[]], "shift": [0]},
+    ]
+    for k, payload in enumerate(cases):
+        bad = tmp_path / f"bad{k}.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["solve", str(bad)]) == 1
+
+
+def test_solve_and_check_blocks_in_any_order(tmp_path, capsys):
+    # eigenvalue 0 recurs after 5, and its sizes increase
+    path = tmp_path / "unordered.json"
+    payload = {
+        "p": 97,
+        "m": 2,
+        "jordan": [[0, [1, 2]], [5, [1]], [0, [1]]],
+        "E": [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]],
+        "shift": [0, 0],
+    }
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "basis.json"
+    assert main(["solve", str(path), "--engine", "oracle-check", "--out", str(out)]) == 0
+    assert main(["check", str(path), str(out)]) == 0
+    assert capsys.readouterr().out.count(": ok") == 3
+    assert instance_to_json(load_instance(str(path))) == payload
 
 
 def test_loader_rejects_non_integer_fields(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from popov_interp import (
     InterpInstance,
+    JordanSpec,
     Modulus,
     is_popov,
     iterative_mib,
@@ -30,20 +31,27 @@ CANDIDATES = 200
 @st.composite
 def instances(draw):
     """An instance with sigma from 0, sigma < m, few (so repeated)
-    eigenvalues, zero rows of E, and shifts out to +-2**70."""
+    eigenvalues, zero rows of E, and shifts out to +-2**70.  Half the
+    instances are standardized; the other half keep short blocks in a
+    shuffled order, so an eigenvalue recurs after another one and its
+    sizes may increase."""
     p = draw(st.sampled_from(sorted(FIELDS)))
     m = draw(st.integers(1, 4))
     sigma = draw(st.integers(0, 12))
     eigs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+    standard = draw(st.booleans())
     blocks = []
     left = sigma
     while left:
-        n = draw(st.integers(1, left))
+        n = draw(st.integers(1, left if standard else min(left, 3)))
         blocks.append((draw(st.sampled_from(eigs)), n))
         left -= n
     residues = st.lists(st.integers(0, p - 1), min_size=sigma, max_size=sigma)
     rows = [[0] * sigma if draw(st.booleans()) else draw(residues) for _ in range(m)]
-    jordan, rows = standardize(blocks, rows)
+    if standard:
+        jordan, rows = standardize(blocks, rows)
+    else:
+        jordan = JordanSpec(tuple(draw(st.permutations(blocks))))
     offset = draw(st.sampled_from((0, BIG, -BIG)))
     entry = st.one_of(st.integers(-3 * sigma - 3, 3 * sigma + 3), st.integers(-BIG, BIG))
     shift = tuple(offset + draw(entry) for _ in range(m))
@@ -56,6 +64,25 @@ def test_popov_mib_matches_iterative(inst):
     basis, delta = popov_mib(inst)
     assert (basis, delta) == iterative_mib(inst)
     assert is_popov(basis, inst.shift)
+
+
+@FIXED
+@given(instances(), st.data())
+def test_block_order_does_not_change_the_output(inst, data):
+    # the blocks and E's column blocks permuted alike reorder the
+    # constraints only: the module, so its s-Popov basis, is the same
+    blocks, offsets = inst.jordan.blocks, inst.jordan.offsets
+    order = data.draw(st.permutations(range(len(blocks))))
+    cols = [t for b in order for t in range(offsets[b], offsets[b] + blocks[b][1])]
+    jordan = JordanSpec(tuple(blocks[b] for b in order))
+    permuted = InterpInstance(inst.field, inst.E[:, cols], jordan, inst.shift)
+    jordan, rows = standardize(blocks, inst.E)
+    standard = InterpInstance(inst.field, rows, jordan, inst.shift)
+    want = popov_mib(standard)
+    assert iterative_mib(standard) == want
+    for case in (inst, permuted):
+        assert popov_mib(case) == want
+        assert iterative_mib(case) == want
 
 
 @FIXED

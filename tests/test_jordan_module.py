@@ -19,29 +19,35 @@ PRIMES = (3, 97, 998244353, 2147483647)
 
 
 def test_jordan_spec_validation():
-    with pytest.raises(ValueError):
-        JordanSpec(((0, (1, 2)),))  # sizes must be non-increasing
-    with pytest.raises(ValueError):
-        JordanSpec(((0, (1,)), (0, (1,))))  # duplicate eigenvalue
-    with pytest.raises(ValueError):
-        JordanSpec(((0, (1,)), (1, (2, 1))))  # counts must be non-increasing
-    spec = JordanSpec(((1, (2, 1)), (0, (3,))))
-    assert spec.blocks == ((1, 2), (1, 1), (0, 3))
-    assert spec.offsets == (0, 2, 3)
-    assert spec.total == 6
+    for bad in (((0, 0),), ((0, 1), (2, -1)), ((0, 1.0),)):
+        with pytest.raises(ValueError, match="positive integers"):
+            JordanSpec(bad)
+    # any block order, eigenvalues repeating anywhere, sizes in any order
+    spec = JordanSpec(((0, 1), (5, 1), (0, 2)))
+    assert spec.blocks == ((0, 1), (5, 1), (0, 2))
+    assert spec.offsets == (0, 1, 2)
+    assert spec.total == 4
+    assert JordanSpec(()).offsets == () and JordanSpec(()).total == 0
+
+
+def test_jordan_spec_json_runs():
+    # runs of consecutive blocks, written back as maximal runs
+    spec = JordanSpec.from_json({"groups": [[0, [1, 2]], [5, [1]], [0, [1]], [0, [3]]]}, 97)
+    assert spec.blocks == ((0, 1), (0, 2), (5, 1), (0, 1), (0, 3))
+    assert spec.to_json() == {"groups": [[0, [1, 2]], [5, [1]], [0, [1, 3]]]}
 
 
 def test_standardize_examples():
     # sizes sort non-increasing within the eigenvalue group
     spec, rows = standardize([(0, 1), (0, 2)], [[7, 1, 2]])
-    assert spec.groups == ((0, (2, 1)),)
+    assert spec.blocks == ((0, 2), (0, 1))
     assert rows.tolist() == [[1, 2, 7]]
     # already standard: unchanged
     spec2, rows2 = standardize([(0, 2), (0, 1)], [[1, 2, 7]])
     assert spec2 == spec and rows2.tolist() == [[1, 2, 7]]
     # group with more blocks comes first
     spec3, rows3 = standardize([(1, 1), (0, 1), (1, 2)], [[5, 6, 7, 8]])
-    assert spec3.groups == ((1, (2, 1)), (0, (1,)))
+    assert spec3.blocks == ((1, 2), (1, 1), (0, 1))
     assert rows3.tolist() == [[7, 8, 5, 6]]
     with pytest.raises(ValueError):
         standardize([(0, 0)], [[]])
@@ -49,11 +55,11 @@ def test_standardize_examples():
 
 def test_standardize_equal_counts_ascending_eigenvalue():
     spec, _ = standardize([(5, 1), (2, 1)], [[1, 2]])
-    assert spec.groups == ((2, (1,)), (5, (1,)))
+    assert spec.blocks == ((2, 1), (5, 1))
 
 
 def test_apply_poly_examples():
-    spec = JordanSpec(((1, (2,)),))
+    spec = JordanSpec(((1, 2),))
     # action of X on f=(1,0): (X+1)*1 mod X^2 -> (1,1)
     assert apply_poly_row([0, 1], [1, 0], spec, F) == [1, 1]
     # cross-check against e . J with J = [[1,1],[0,1]]
@@ -96,14 +102,14 @@ def test_apply_poly_matches_dense_matrix(rng):
             n = rng.randint(1, left)
             blocks.append((rng.randrange(97), n))
             left -= n
-        spec, _ = standardize(blocks, [[0] * sigma])
+        spec = JordanSpec(tuple(blocks))
         row = [rng.randrange(97) for _ in range(sigma)]
         pl = poly_trim([rng.randrange(97) for _ in range(rng.randint(0, 9))])
         assert apply_poly_row(pl, row, spec, F) == _apply_via_matrix(pl, row, spec, 97)
 
 
 def test_apply_poly_module_axioms(rng):
-    spec = JordanSpec(((3, (3, 2)), (0, (2,))))
+    spec = JordanSpec(((3, 3), (3, 2), (0, 2)))
     sigma = spec.total
     for _ in range(20):
         row = [rng.randrange(97) for _ in range(sigma)]
@@ -126,7 +132,7 @@ def test_apply_poly_module_axioms(rng):
 
 
 def test_characteristic_annihilation(rng):
-    spec = JordanSpec(((5, (3,)), (2, (2,))))
+    spec = JordanSpec(((5, 3), (2, 2)))
     for (x, n), off in zip(spec.blocks, spec.offsets):
         # (X - x)^n kills the block
         ann = [1]
@@ -138,7 +144,7 @@ def test_characteristic_annihilation(rng):
 
 
 def test_residual_examples():
-    spec = JordanSpec(((0, (1,)),))
+    spec = JordanSpec(((0, 1),))
     P = PolyMat.from_rows(F, [[[0, 1], []], [[96], [1]]])
     assert residual(P, [[1], [1]], spec).tolist() == [[0], [0]]
     ident = PolyMat.identity(F, 2)
@@ -163,7 +169,8 @@ def _random_residual_case(rng, p):
     """Random (P, E, J) covering the edge shapes of the residual.
 
     Entry degrees reach 2*sigma, rows and columns of P may vanish, sigma
-    may fall below m, blocks may all have size 1, and eigenvalues repeat.
+    may fall below m, blocks may all have size 1, and eigenvalues repeat,
+    with the blocks in the order drawn.
     """
     m = rng.randint(1, 5)
     sigma = rng.randint(0, 16)
@@ -175,9 +182,9 @@ def _random_residual_case(rng, p):
         blocks = _random_blocks(rng, sigma, p, eigs)  # repeated eigenvalues
     else:
         blocks = _random_blocks(rng, sigma, p)
-    spec, rows = standardize(
-        blocks, [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
-    )
+    spec = JordanSpec(tuple(blocks))  # in drawn order, not standardized
+    rows = np.array([[rng.randrange(p) for _ in range(sigma)] for _ in range(m)], dtype=np.int64)
+    rows = rows.reshape(m, sigma)
     nrows = rng.randint(1, m + 1)
     zero_row = rng.randrange(nrows) if rng.random() < 0.3 else None
     zero_col = rng.randrange(m) if rng.random() < 0.3 else None
@@ -218,10 +225,8 @@ def test_x_powers_matches_dense_jordan(rng):
         for _ in range(10):
             sigma = rng.randint(1, 10)
             m = rng.randint(1, 3)
-            spec, rows = standardize(
-                _random_blocks(rng, sigma, p),
-                [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)],
-            )
+            spec = JordanSpec(tuple(_random_blocks(rng, sigma, p)))
+            rows = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
             d = rng.randint(0, 2 * sigma)
             stride = rng.randint(1, 3)
             krylov = x_powers(rows, spec, field, d, stride)

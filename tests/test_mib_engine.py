@@ -21,13 +21,13 @@ from popov_interp.polymat import pivot_degrees
 
 F = Modulus(97)
 
-INST1 = InterpInstance(F, [[1], [1]], JordanSpec(((0, (1,)),)), (0, 0))
-INST2 = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, (2,)),)), (0, 0))
+INST1 = InterpInstance(F, [[1], [1]], JordanSpec(((0, 1),)), (0, 0))
+INST2 = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, 2),)), (0, 0))
 
 
 def test_interpolant_check_examples():
     assert interpolant_check([[], []], INST1)
-    one_row = InterpInstance(F, [[1]], JordanSpec(((0, (1,)),)), (0,))
+    one_row = InterpInstance(F, [[1]], JordanSpec(((0, 1),)), (0,))
     assert interpolant_check([[0, 1]], one_row)
     assert not interpolant_check([[1]], one_row)
     with pytest.raises(ValueError):
@@ -35,7 +35,7 @@ def test_interpolant_check_examples():
 
 
 def test_iterative_examples():
-    zero = InterpInstance(F, [[0, 0], [0, 0]], JordanSpec(((3, (2,)),)), (1, 5))
+    zero = InterpInstance(F, [[0, 0], [0, 0]], JordanSpec(((3, 2),)), (1, 5))
     basis, delta = iterative_mib(zero)
     assert basis.rows == [[[1], []], [[], [1]]] and delta == (0, 0)
 
@@ -72,7 +72,7 @@ def test_completeness_kernel_dimension(rng):
 
 def test_kernel_oracle_examples():
     assert len(kernel_oracle(INST1, 1)) == 3
-    zero = InterpInstance(F, [[0], [0]], JordanSpec(((0, (1,)),)), (2, 5))
+    zero = InterpInstance(F, [[0], [0]], JordanSpec(((0, 1),)), (2, 5))
     # at bound min(s), only rows with s_i = min(s) contribute one candidate
     assert len(kernel_oracle(zero, 2)) == 1
     # every oracle element really is an interpolant of s-degree <= bound
@@ -81,7 +81,7 @@ def test_kernel_oracle_examples():
 
 
 def test_minimal_interpolation_basis(rng):
-    zero = InterpInstance(F, [[0, 0], [0, 0]], JordanSpec(((3, (2,)),)), (0, 0))
+    zero = InterpInstance(F, [[0, 0], [0, 0]], JordanSpec(((3, 2),)), (0, 0))
     w, degrees = minimal_interpolation_basis(zero)
     assert w.rows == [[[1], []], [[], [1]]] and degrees == (0, 0)
     for _ in range(25):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import poly_eval
 from popov_interp import (
     Modulus,
     PolyMat,
@@ -338,7 +339,7 @@ def _det_by_evaluation(mat, points):
     # independent oracle: scalar determinants at sample points, then
     # Lagrange interpolation
     p = mat.field.p
-    from popov_interp.ff_poly import poly_add, poly_eval, poly_mul, poly_scale
+    from popov_interp.ff_poly import poly_add, poly_mul, poly_scale
 
     def scalar_det(a):
         a = [row[:] for row in a]

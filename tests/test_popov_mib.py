@@ -53,13 +53,13 @@ def test_build_expansion_row_count_bound():
 
 
 def test_known_mindeg_worked_example():
-    inst = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, (2,)),)), (0, 0))
+    inst = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, 2),)), (0, 0))
     basis = known_mindeg_mib(inst, (2, 0))
     assert basis.rows == [[[0, 0, 1], []], [[96], [1]]]
 
 
 def test_known_mindeg_identity_case():
-    inst = InterpInstance(F, [[0, 0], [0, 0]], JordanSpec(((4, (2,)),)), (0, 3))
+    inst = InterpInstance(F, [[0, 0], [0, 0]], JordanSpec(((4, 2),)), (0, 3))
     assert known_mindeg_mib(inst, (0, 0)).rows == PolyMat.identity(F, 2).rows
 
 
@@ -85,7 +85,7 @@ def test_known_mindeg_random_equality(rng, monkeypatch):
 
 
 def test_known_mindeg_rejects_wrong_degree():
-    inst = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, (2,)),)), (0, 0))
+    inst = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, 2),)), (0, 0))
     # (1, 1) exceeds the expanded column degrees; (3, 0) leaves the
     # leading matrix singular; (0, 2) rebuilds [[1, -1], [0, X**2]], whose
     # row 0 has its pivot in column 1
@@ -166,9 +166,9 @@ def test_popov_mib_trivial_and_small():
     basis, delta = popov_mib(empty)
     assert basis.rows == PolyMat.identity(F, 2).rows and delta == (0, 0)
 
-    inst1 = InterpInstance(F, [[1], [1]], JordanSpec(((0, (1,)),)), (0, 0))
+    inst1 = InterpInstance(F, [[1], [1]], JordanSpec(((0, 1),)), (0, 0))
     assert popov_mib(inst1) == iterative_mib(inst1)
-    inst2 = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, (2,)),)), (0, 0))
+    inst2 = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, 2),)), (0, 0))
     assert popov_mib(inst2) == iterative_mib(inst2)
 
 

@@ -151,6 +151,15 @@ def residual_direct(pmat: PolyMat, rows: ModuleRows, jordan: JordanSpec) -> Modu
 _KRYLOV_SLAB = 1 << 21
 
 
+def column_action(jordan: JordanSpec, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per column, the eigenvalue mod p and a carry flag, 0 where a block
+    starts and 1 elsewhere: X maps a row v to ``xs*v + carry*(v shifted)``."""
+    xs = np.repeat([x % p for x, _ in jordan.blocks], [n for _, n in jordan.blocks])
+    carry = np.ones(jordan.total, dtype=np.int64)
+    carry[np.array(jordan.offsets, dtype=np.intp)] = 0
+    return xs.astype(np.int64), carry
+
+
 def x_powers(rows, jordan: JordanSpec, field: Modulus, d: int, stride: int = 1) -> np.ndarray:
     """The int64 array K with K[k, j] = X**(k*stride) . rows[j], 0 <= k <= d.
 
@@ -159,20 +168,14 @@ def x_powers(rows, jordan: JordanSpec, field: Modulus, d: int, stride: int = 1) 
     p = field.p
     sigma = jordan.total
     v = np.asarray(rows, dtype=np.int64).reshape(len(rows), sigma)
-    xs = np.repeat(
-        np.array([x % p for x, _ in jordan.blocks], dtype=np.int64),
-        [n for _, n in jordan.blocks],
-    )
-    carry = np.ones(sigma, dtype=np.int64)
-    carry[np.array(jordan.offsets, dtype=np.intp)] = 0
-    carry = carry[1:]
+    xs, carry = column_action(jordan, p)
     out = np.empty((d + 1,) + v.shape, dtype=np.int64)
     out[0] = v
     for k in range(1, d + 1):
         for _ in range(stride):
             # p < 2**31, so x*v[t] + v[t-1] stays below 2**62 + 2**31
             w = v * xs
-            w[:, 1:] += v[:, :-1] * carry
+            w[:, 1:] += v[:, :-1] * carry[1:]
             v = np.remainder(w, p, out=w)
         out[k] = v
     return out

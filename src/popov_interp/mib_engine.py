@@ -3,11 +3,13 @@
 Every engine returns ``(basis, pivot degrees)``.
 
 ``iterative_mib`` processes the constraints one by one, M-Pade style:
-at each constraint it computes a scalar discrepancy per basis row,
+at each constraint it reads a scalar discrepancy per basis row,
 eliminates it from all rows using the minimal row, multiplies that row by
 (X - x), and finally normalizes the accumulated weak Popov basis to the
 canonical shifted Popov form.  It is the reference engine every other
-path is checked against.
+path is checked against.  Un-normalized, the same elimination is the
+Mib's base case, ``iterative_weak_popov``; both run on one packed
+coefficient array and one residual array.
 
 ``minimal_interpolation_basis`` (the Mib) is the one divide-and-conquer
 recursion: it cuts the constraint space in two (``split_leading``),
@@ -15,14 +17,14 @@ solves the left half, pushes the residual through, solves the right half
 with the shift bumped by the left pivot degrees, and multiplies the two
 bases.  Its output is a shifted diagonal weak Popov basis, never
 normalized, so for unbalanced shifts it can be far larger than the
-Popov basis; its pivot degrees are the shifted minimal degree.  The
-module matrix ``InterpInstance.E`` is one ``(m, sigma)`` int64 array of
-residues; the halves and the residual are column slices of such arrays,
-so it keeps that form down to every leaf.  The halves keep the Jordan
-blocks in constraint order: the engines read the blocks as a plain
-sequence, in any order and with eigenvalues repeating anywhere, so no
-column permutation happens inside the recursion.  The list-based
-iterative engine and the verification path read ``E.tolist()``.
+Popov basis; its pivot degrees are the shifted minimal degree.  Its
+leaves hold up to ``LEAF * m`` constraints, not the paper's m, as each
+node costs a residual, a product and their numpy call overhead; the
+shift bump reproduces the elimination's s-degrees, so the output is the
+same for any bound.  The halves and the residual are column slices of
+``(m, sigma)`` int64 arrays of residues, like ``InterpInstance.E``, and
+keep the Jordan blocks in constraint order.  Only the verification path
+and the CLI read ``E.tolist()``.
 
 ``kernel_oracle`` ignores all of that and sets up the degree-bounded
 interpolants as a plain kernel computation over the base field; it is the
@@ -37,11 +39,15 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .ff_poly import Modulus, Poly, poly_mul_x_plus, poly_sub_scaled, poly_trim
-from .jordan_module import JordanSpec, residual, residual_direct
+from .ff_poly import Modulus, Poly, poly_trim
+from .jordan_module import JordanSpec, column_action, residual, residual_direct
 from .polymat import PolyMat, matmul, weak_popov_to_popov
 
 MinimalDegree = Tuple[int, ...]
+
+# the Mib's leaves take up to LEAF * m constraints (measured: the fastest
+# of 2, 4, 8 and 16 on every benchmark workload)
+LEAF = 16
 
 
 @dataclass
@@ -96,74 +102,60 @@ def interpolant_check(row: Sequence[Poly], inst: InterpInstance) -> bool:
     return not any(res[0])
 
 
-def _iterative_engine(inst: InterpInstance):
-    """Constraint-by-constraint elimination.
-
-    Returns the raw basis rows and the per-row count of (X - x)
-    multiplications.  Ties in s-degree go to the lowest row index, so the
-    basis stays in s-diagonal weak Popov form throughout and that count
-    is the pivot degree tuple.
-    """
-    field = inst.field
-    p = field.p
-    m = inst.m
-    s = inst.shift
-
-    basis: List[List[Poly]] = [
-        [[1] if j == i else [] for j in range(m)] for i in range(m)
-    ]
-    res = inst.E.tolist()
-    sdeg = list(s)
-    steps = [0] * m
-
-    for b, ((x, size), off) in enumerate(zip(inst.jordan.blocks, inst.jordan.offsets)):
-        for ell in range(size):
-            pos = off + ell
-            cands = [i for i in range(m) if res[i][pos]]
-            if not cands:
-                continue
-            pi = min(cands, key=lambda i: (sdeg[i], i))
-            inv_d = pow(res[pi][pos], p - 2, p)
-            brow = basis[pi]
-            rrow = res[pi]
-            for i in cands:
-                if i == pi:
-                    continue
-                c = res[i][pos] * inv_d % p
-                target = basis[i]
-                for j in range(m):
-                    if brow[j]:
-                        target[j] = poly_sub_scaled(target[j], brow[j], c, p)
-                ri = res[i]
-                ri[pos:] = [(a - c * v) % p for a, v in zip(ri[pos:], rrow[pos:])]
-            basis[pi] = [poly_mul_x_plus(e, -x, p) if e else [] for e in brow]
-            # (X - x) acts blockwise; on the current block the eigenvalue
-            # difference vanishes, leaving a plain coefficient shift
-            for t in range(off + size - 1, pos, -1):
-                rrow[t] = rrow[t - 1]
-            rrow[pos] = 0
-            for bb in range(b + 1, len(inst.jordan.blocks)):
-                xb, nb = inst.jordan.blocks[bb]
-                ob = inst.jordan.offsets[bb]
-                cb = (xb - x) % p
-                for t in range(ob + nb - 1, ob, -1):
-                    rrow[t] = (rrow[t - 1] + cb * rrow[t]) % p
-                rrow[ob] = cb * rrow[ob] % p
-            sdeg[pi] += 1
-            steps[pi] += 1
-    return basis, steps
-
-
 def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
-    """Un-normalized s-diagonal weak Popov basis and its pivot degrees."""
-    basis, steps = _iterative_engine(inst)
-    return PolyMat(inst.field, basis), tuple(steps)
+    """Un-normalized s-diagonal weak Popov basis and its pivot degrees.
+
+    Constraint-by-constraint elimination on packed arrays.  Ties in
+    s-degree go to the lowest row index, so the basis stays in s-diagonal
+    weak Popov form throughout and row i's pivot degree is its number of
+    (X - x) factors.
+    """
+    p = inst.field.p
+    m, sigma = inst.m, inst.sigma
+    basis = np.zeros((m, m, sigma + 1), dtype=np.int64)
+    basis[range(m), range(m), 0] = 1
+    res = np.array(inst.E)
+    xs, carry = column_action(inst.jordan, p)
+    sdeg = list(inst.shift)
+    lens = np.ones(m, dtype=np.intp)  # each row is zero from this degree on
+
+    # every value below is within (p-1)**2 + p of zero, a residue times a
+    # residue plus or minus a residue: inside int64 as p < 2**31
+    for pos in range(sigma):
+        col = res[:, pos]
+        cands = np.flatnonzero(col).tolist()
+        if not cands:
+            continue
+        pi = min(cands, key=lambda i: (sdeg[i], i))
+        n = lens[pi]
+        others = [i for i in cands if i != pi]
+        if others:
+            # eliminate the discrepancy from the other rows with the pivot row
+            c = (col[others] * pow(int(col[pi]), p - 2, p) % p)[:, None]
+            basis[others, :, :n] = (basis[others, :, :n] - c[:, :, None] * basis[pi, :, :n]) % p
+            res[others, pos:] = (res[others, pos:] - c * res[pi, pos:]) % p
+            lens[others] = np.maximum(lens[others], n)
+        # the pivot row times (X - x), x the eigenvalue of this constraint
+        row = basis[pi, :, : n + 1]
+        w = row * ((p - xs[pos]) % p)
+        w[:, 1:] += row[:, :-1]
+        basis[pi, :, : n + 1] = w % p
+        # and its residual: one Jordan step of X - x from this column on,
+        # which clears this column and shifts the rest of its block
+        v = res[pi, pos:]
+        w = v * ((xs[pos:] - xs[pos]) % p)
+        w[1:] += v[:-1] * carry[pos + 1 :]
+        res[pi, pos:] = w % p
+        lens[pi] = n + 1
+        sdeg[pi] += 1
+    degrees = tuple(d - s for d, s in zip(sdeg, inst.shift))
+    return PolyMat.from_coeffs(inst.field, basis), degrees
 
 
 def iterative_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """The s-Popov interpolation basis and its diagonal degrees."""
-    basis, _ = _iterative_engine(inst)
-    popov = weak_popov_to_popov(PolyMat(inst.field, basis), inst.shift)
+    weak, _ = iterative_weak_popov(inst)
+    popov = weak_popov_to_popov(weak, inst.shift)
     delta = tuple(len(popov.rows[i][i]) - 1 for i in range(inst.m))
     return popov, delta
 
@@ -195,14 +187,14 @@ def minimal_interpolation_basis(inst: InterpInstance) -> Tuple[PolyMat, MinimalD
     """A shifted diagonal weak Popov interpolation basis (not normalized)
     and its pivot degrees.
 
-    Up to m constraints this is the iterative engine's raw output.
+    Up to ``LEAF * m`` constraints this is ``iterative_weak_popov``.
     Otherwise the left half from ``split_leading`` is solved into P1
     with pivot degrees d1; the residual of P1 against E, restricted to
     the trailing blocks, is the right half, solved into P2 under the
     shift bumped by d1.  P2 * P1 is an s-diagonal weak Popov
     interpolation basis with pivot degrees d1 + d2.
     """
-    if inst.sigma <= inst.m:
+    if inst.sigma <= LEAF * inst.m:
         return iterative_weak_popov(inst)
     inst1, jordan2 = split_leading(inst)
     p1, d1 = minimal_interpolation_basis(inst1)

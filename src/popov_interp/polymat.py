@@ -8,11 +8,11 @@ normalization from weak Popov form to the canonical Popov form.
 
 A matrix has two views, each built on first access: ``rows``, a grid of
 coefficient lists, and ``coeffs``, one packed int64 coefficient array.
-The iterative engine, the normalization, the other predicates and
-verification read the rows; ``is_popov`` reads the entry lengths and the
-diagonal of the array; the divide-and-conquer Mib reads the array, through
-``matmul``, the residual and the known-degree rebuild, so its bases stay
-packed from the base case to the rebuild.
+The normalization, the other predicates and verification read the
+rows; ``is_popov`` reads the entry lengths and the diagonal of the
+array; the iterative engine builds the array, and the divide-and-conquer
+Mib reads it, through ``matmul``, the residual and the known-degree
+rebuild, so its bases stay packed from the base case to the rebuild.
 """
 
 from __future__ import annotations

@@ -88,14 +88,15 @@ def mib_splits(calls):
 
     ``calls`` is a ``capture`` list of ``minimal_interpolation_basis``
     over both bindings.  A node returns after its halves, so a stack
-    rebuilds the trees: every node with sigma > m pops its right half,
-    then its left.  Returns the splits as ``(node, basis, degrees, left,
-    right)``, each half as ``(instance, basis, degrees)``, and the roots
-    left on the stack in the same form as the halves.
+    rebuilds the trees: every node above the Mib's base-case bound,
+    sigma > LEAF * m, pops its right half, then its left.  Returns the
+    splits as ``(node, basis, degrees, left, right)``, each half as
+    ``(instance, basis, degrees)``, and the roots left on the stack in
+    the same form as the halves.
     """
     stack, splits = [], []
     for (node,), (basis, degrees) in calls:
-        if node.sigma > node.m:
+        if node.sigma > MIB_ENGINE.LEAF * node.m:
             right = stack.pop()
             left = stack.pop()
             splits.append((node, basis, degrees, left, right))

@@ -98,8 +98,10 @@ def test_criterion_3_pivot_degree_additivity(monkeypatch):
     done = 0
     splits_checked = 0
     while done < 50:
-        inst = random_instance(rng, p=PRIMES[done % 2], sigma_range=(2, 32), m_range=(1, 5))
-        if inst.sigma <= inst.m:
+        inst = random_instance(
+            rng, p=PRIMES[done % 2], sigma_range=(2, 24 * MIB_ENGINE.LEAF), m_range=(1, 5)
+        )
+        if inst.sigma <= MIB_ENGINE.LEAF * inst.m:
             continue
         mibs.clear()
         popov, _ = popov_mib(inst)

@@ -17,6 +17,7 @@ from popov_interp import (
     popov_mib,
     standardize,
 )
+from popov_interp.mib_engine import LEAF
 
 # small, middle, NTT-friendly, and the largest prime below 2**31 (int64 edge)
 FIELDS = {p: Modulus(p) for p in (3, 97, 998244353, 2**31 - 1)}
@@ -29,15 +30,19 @@ CANDIDATES = 200
 
 
 @st.composite
-def instances(draw):
+def instances(draw, past_leaf=False):
     """An instance with sigma from 0, sigma < m, few (so repeated)
     eigenvalues, zero rows of E, and shifts out to +-2**70.  Half the
     instances are standardized; the other half keep short blocks in a
     shuffled order, so an eigenvalue recurs after another one and its
-    sizes may increase."""
+    sizes may increase.  With past_leaf, sigma lies just beyond the Mib's
+    base case, LEAF * m < sigma <= LEAF * m + 24, so the Mib splits."""
     p = draw(st.sampled_from(sorted(FIELDS)))
     m = draw(st.integers(1, 4))
-    sigma = draw(st.integers(0, 12))
+    if past_leaf:
+        sigma = draw(st.integers(LEAF * m + 1, LEAF * m + 24))
+    else:
+        sigma = draw(st.integers(0, 12))
     eigs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
     standard = draw(st.booleans())
     blocks = []
@@ -61,6 +66,16 @@ def instances(draw):
 @FIXED
 @given(instances())
 def test_popov_mib_matches_iterative(inst):
+    basis, delta = popov_mib(inst)
+    assert (basis, delta) == iterative_mib(inst)
+    assert is_popov(basis, inst.shift)
+
+
+@FIXED
+@given(instances(past_leaf=True))
+def test_popov_mib_matches_iterative_past_the_leaf(inst):
+    # the recursion proper: split_leading, residual and matmul at every
+    # prime, shifts out to +-2**70 and blocks in any order
     basis, delta = popov_mib(inst)
     assert (basis, delta) == iterative_mib(inst)
     assert is_popov(basis, inst.shift)

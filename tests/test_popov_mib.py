@@ -9,9 +9,11 @@ from popov_interp import (
     Modulus,
     PolyMat,
     build_expansion,
+    interpolant_check,
     is_popov,
     is_weak_popov,
     iterative_mib,
+    kernel_oracle,
     known_mindeg_mib,
     matmul,
     minimal_interpolation_basis,
@@ -19,6 +21,7 @@ from popov_interp import (
     weak_popov_to_popov,
 )
 from popov_interp.apps import adversarial_instance, approximant_instance
+from popov_interp.cli import _colength
 from popov_interp.ff_poly import poly_add, poly_deg, poly_shift_up
 from popov_interp.linalg import inv_mod
 from popov_interp.polymat import pivot_degrees
@@ -176,8 +179,8 @@ def test_popov_mib_split_records(rng, monkeypatch):
     mibs = capture(monkeypatch, "minimal_interpolation_basis", (POPOV_MIB, MIB_ENGINE))
     seen = 0
     while seen < 10:
-        inst = random_instance(rng, sigma_range=(4, 24), m_range=(1, 3))
-        if inst.sigma <= inst.m:
+        inst = random_instance(rng, sigma_range=(4, 10 * MIB_ENGINE.LEAF), m_range=(1, 3))
+        if inst.sigma <= MIB_ENGINE.LEAF * inst.m:
             continue
         mibs.clear()
         basis, delta = popov_mib(inst)
@@ -247,3 +250,20 @@ def test_popov_mib_matches_iterative_int64_edge(rng):
     for _ in range(4):
         inst = random_instance(rng, p=2147483647, sigma_range=(8, 40), m_range=(1, 4))
         assert popov_mib(inst) == iterative_mib(inst)
+    # every residue p - 1 and eigenvalues p - 1 and 1, past the Mib's base
+    # case: the packed engine's products reach (p-1)**2 + (p-1).  Certified
+    # without the engines: interpolants, the colength, kernel dimensions
+    p = 2147483647
+    for m, shift in ((1, (0,)), (2, (0, 5)), (3, (4, 0, 9))):
+        sigma = MIB_ENGINE.LEAF * m + 3
+        cut = sigma // 2 + m
+        jordan = JordanSpec(((p - 1, cut), (1, sigma - cut)))
+        inst = InterpInstance(Modulus(p), [[p - 1] * sigma] * m, jordan, shift)
+        basis, delta = popov_mib(inst)
+        assert (basis, delta) == iterative_mib(inst)
+        assert all(interpolant_check(row, inst) for row in basis.rows)
+        assert sum(delta) == _colength(inst)
+        b = [si + di for si, di in zip(shift, delta)]
+        for bound in (max(b) - 1, max(b)):
+            want = sum(max(0, bound - bi + 1) for bi in b)
+            assert len(kernel_oracle(inst, bound)) == want

@@ -8,8 +8,14 @@ eliminates it from all rows using the minimal row, multiplies that row by
 (X - x), and finally normalizes the accumulated weak Popov basis to the
 canonical shifted Popov form.  It is the reference engine every other
 path is checked against.  Un-normalized, the same elimination is the
-Mib's base case, ``iterative_weak_popov``; both run on one packed
-coefficient array and one residual array.
+Mib's base case, ``iterative_weak_popov``.  It keeps one
+``(m, sigma + m*(sigma+1))`` int64 array: row i is row i's residual, in
+column order, followed by basis row i degree-major.  Columns already
+processed are zero in every row and the pivot row is zero past its
+length bound n, so each constraint touches only the live window
+``[pos, sigma + (n+1)*m)`` of that array, about ten numpy calls for the
+whole step; before each remainder every value is within (p-1)**2 + p of
+zero, inside int64 as p < 2**31.
 
 ``minimal_interpolation_basis`` (the Mib) is the one divide-and-conquer
 recursion: it cuts the constraint space in two (``split_leading``),
@@ -24,7 +30,8 @@ shift bump reproduces the elimination's s-degrees, so the output is the
 same for any bound.  The halves and the residual are column slices of
 ``(m, sigma)`` int64 arrays of residues, like ``InterpInstance.E``, and
 keep the Jordan blocks in constraint order.  Only the verification path
-and the CLI read ``E.tolist()``.
+and the CLI read E as lists (``InterpInstance.module_rows``, converted
+once per instance).
 
 ``kernel_oracle`` ignores all of that and sets up the degree-bounded
 interpolants as a plain kernel computation over the base field; it is the
@@ -34,6 +41,7 @@ independent certificate used by the acceptance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -45,9 +53,10 @@ from .polymat import PolyMat, matmul, weak_popov_to_popov
 
 MinimalDegree = Tuple[int, ...]
 
-# the Mib's leaves take up to LEAF * m constraints (measured: the fastest
-# of 2, 4, 8 and 16 on every benchmark workload)
-LEAF = 16
+# the Mib's leaves take up to LEAF * m constraints (measured: of 16, 32
+# and 64, 32 and 64 are no slower than 16 on any benchmark workload or
+# bench size; 64 gains little more and makes every split test larger)
+LEAF = 32
 
 
 @dataclass
@@ -56,7 +65,7 @@ class InterpInstance:
 
     E may be given as rows of integers of any size or as an integer
     array; it is stored as a read-only ``(m, sigma)`` int64 array of
-    residues.
+    residues, and is not replaced afterwards.
     """
 
     field: Modulus
@@ -92,64 +101,97 @@ class InterpInstance:
     def sigma(self) -> int:
         return self.jordan.total
 
+    @cached_property
+    def module_rows(self) -> List[List[int]]:
+        """E as rows of Python integers, for the list-based verification path."""
+        return self.E.tolist()
+
 
 def interpolant_check(row: Sequence[Poly], inst: InterpInstance) -> bool:
     """True iff row . E vanishes under the module action."""
     if len(row) != inst.m:
         raise ValueError("row length does not match the instance")
     rmat = PolyMat(inst.field, [[list(e) for e in row]])
-    res = residual_direct(rmat, inst.E.tolist(), inst.jordan)
+    res = residual_direct(rmat, inst.module_rows, inst.jordan)
     return not any(res[0])
 
 
 def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """Un-normalized s-diagonal weak Popov basis and its pivot degrees.
 
-    Constraint-by-constraint elimination on packed arrays.  Ties in
-    s-degree go to the lowest row index, so the basis stays in s-diagonal
-    weak Popov form throughout and row i's pivot degree is its number of
-    (X - x) factors.
+    Constraint-by-constraint elimination.  Ties in s-degree go to the
+    lowest row index, so the basis stays in s-diagonal weak Popov form
+    throughout and row i's pivot degree is its number of (X - x) factors.
+
+    All state is one ``(m, sigma + m*(sigma+1))`` int64 array of residues:
+    row i holds its residual, then basis row i degree-major, the
+    coefficient of X**k in entry j at ``sigma + k*m + j``.  At constraint
+    ``pos`` the columns before pos are zero in every row, and the pivot
+    row is zero from its length bound n on, so the step works on the live
+    window ``[pos, sigma + (n+1)*m)``: the residual from column pos on and
+    the basis up to degree n, one basic slice.  The elimination subtracts
+    c times the pivot row from every row at once (c is 0 on the pivot and
+    on rows whose discrepancy is 0), and the pivot row is multiplied by
+    X - x: X shifts its basis part by m and acts on its residual as one
+    Jordan step.  One remainder then reduces the window.
     """
     p = inst.field.p
     m, sigma = inst.m, inst.sigma
-    basis = np.zeros((m, m, sigma + 1), dtype=np.int64)
-    basis[range(m), range(m), 0] = 1
-    res = np.array(inst.E)
+    aug = np.zeros((m, sigma + m * (sigma + 1)), dtype=np.int64)
+    aug[:, :sigma] = inst.E
+    aug[range(m), sigma + np.arange(m)] = 1
     xs, carry = column_action(inst.jordan, p)
+    # the multiplier of X - x is base - x: the eigenvalues on the residual,
+    # 0 on the basis
+    base = np.zeros(aug.shape[1], dtype=np.int64)
+    base[:sigma] = xs
+    link = carry[1:].astype(bool)  # column t takes column t-1's value
+    xs = xs.tolist()
     sdeg = list(inst.shift)
-    lens = np.ones(m, dtype=np.intp)  # each row is zero from this degree on
+    lens = [1] * m  # row i is zero from degree lens[i] on
 
-    # every value below is within (p-1)**2 + p of zero, a residue times a
-    # residue plus or minus a residue: inside int64 as p < 2**31
+    # before each remainder, every value is within (p-1)**2 + p of zero:
+    # a residue minus a residue times a residue, or a residue times a
+    # difference of residues plus a residue; inside int64 as p < 2**31
     for pos in range(sigma):
-        col = res[:, pos]
-        cands = np.flatnonzero(col).tolist()
-        if not cands:
+        col = aug[:, pos].tolist()
+        pi = -1
+        for i, v in enumerate(col):
+            if v and (pi < 0 or sdeg[i] < sdeg[pi]):
+                pi = i
+        if pi < 0:
             continue
-        pi = min(cands, key=lambda i: (sdeg[i], i))
         n = lens[pi]
-        others = [i for i in cands if i != pi]
-        if others:
-            # eliminate the discrepancy from the other rows with the pivot row
-            c = (col[others] * pow(int(col[pi]), p - 2, p) % p)[:, None]
-            basis[others, :, :n] = (basis[others, :, :n] - c[:, :, None] * basis[pi, :, :n]) % p
-            res[others, pos:] = (res[others, pos:] - c * res[pi, pos:]) % p
-            lens[others] = np.maximum(lens[others], n)
-        # the pivot row times (X - x), x the eigenvalue of this constraint
-        row = basis[pi, :, : n + 1]
-        w = row * ((p - xs[pos]) % p)
-        w[:, 1:] += row[:, :-1]
-        basis[pi, :, : n + 1] = w % p
-        # and its residual: one Jordan step of X - x from this column on,
-        # which clears this column and shifts the rest of its block
-        v = res[pi, pos:]
-        w = v * ((xs[pos:] - xs[pos]) % p)
-        w[1:] += v[:-1] * carry[pos + 1 :]
-        res[pi, pos:] = w % p
+        end = sigma + (n + 1) * m
+        row = aug[pi, pos:end]
+        r = sigma - pos  # the basis starts at row[r]
+        # the pivot row times X - x, x the eigenvalue of this constraint:
+        # on the basis X shifts by m; on the residual it is one Jordan step,
+        # which clears column pos and shifts the rest of its block
+        w = row * (base[pos:end] - xs[pos])
+        np.add(w[1:r], row[: r - 1], out=w[1:r], where=link[pos:])
+        w[r + m :] += row[r : -m]
+        if m - col.count(0) > 1:
+            # eliminate the discrepancy from the other rows with the pivot
+            # row; the multiplier is 0 on the pivot and on rows already zero
+            inv = pow(col[pi], -1, p)
+            c = [v * inv % p for v in col]
+            c[pi] = 0
+            for i, v in enumerate(col):
+                if v and lens[i] < n:
+                    lens[i] = n
+            live = aug[:, pos:end]
+            live -= np.multiply.outer(c, row)
+            row[:] = w
+            np.remainder(live, p, out=live)
+        else:
+            np.remainder(w, p, out=row)
         lens[pi] = n + 1
         sdeg[pi] += 1
     degrees = tuple(d - s for d, s in zip(sdeg, inst.shift))
-    return PolyMat.from_coeffs(inst.field, basis), degrees
+    n = max(lens)
+    basis = aug[:, sigma : sigma + n * m].reshape(m, n, m).transpose(0, 2, 1)
+    return PolyMat.from_coeffs(inst.field, np.ascontiguousarray(basis)), degrees
 
 
 def iterative_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:

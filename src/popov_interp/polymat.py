@@ -9,8 +9,8 @@ normalization from weak Popov form to the canonical Popov form.
 A matrix has two views, each built on first access: ``rows``, a grid of
 coefficient lists, and ``coeffs``, one packed int64 coefficient array.
 The normalization, the other predicates and verification read the
-rows; ``is_popov`` reads the entry lengths and the diagonal of the
-array; the iterative engine builds the array, and the divide-and-conquer
+rows; ``is_popov`` reads the entry lengths and the diagonal, from the
+array when there is one; the iterative engine builds the array, and the divide-and-conquer
 Mib reads it, through ``matmul``, the residual and the known-degree
 rebuild, so its bases stay packed from the base case to the rebuild.
 """
@@ -267,7 +267,9 @@ def is_weak_popov(m: PolyMat, s: Sequence[int], diagonal: bool = False) -> bool:
 def is_popov(m: PolyMat, s: Sequence[int]) -> bool:
     """Monic diagonal pivots, nonpivot column entries below the pivot degree.
 
-    Read off the entry lengths and the diagonal of the packed array.
+    Read off the entry lengths and the diagonal's leading coefficients,
+    taken from the packed array or, when the matrix was built from rows
+    and has none, from the rows.
     """
     s = _check_shift(m.ncols, s)
     if m.nrows != m.ncols:
@@ -275,7 +277,13 @@ def is_popov(m: PolyMat, s: Sequence[int]) -> bool:
     lengths = m.lengths
     diag = np.arange(m.nrows)
     dlen = lengths[diag, diag]
-    if not dlen.all() or (m.coeffs[diag, diag, dlen - 1] != 1).any():
+    if not dlen.all():
+        return False
+    if m._coeffs is None:
+        leads = [m.rows[i][i][-1] for i in range(m.nrows)]
+    else:
+        leads = m.coeffs[diag, diag, dlen - 1].tolist()
+    if any(c != 1 for c in leads):
         return False
     off = lengths.copy()
     off[diag, diag] = 0

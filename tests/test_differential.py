@@ -11,12 +11,16 @@ from popov_interp import (
     InterpInstance,
     JordanSpec,
     Modulus,
+    interpolant_check,
     is_popov,
+    is_weak_popov,
     iterative_mib,
+    iterative_weak_popov,
     kernel_oracle,
     popov_mib,
     standardize,
 )
+from popov_interp.cli import _colength
 from popov_interp.mib_engine import LEAF
 
 # small, middle, NTT-friendly, and the largest prime below 2**31 (int64 edge)
@@ -79,6 +83,19 @@ def test_popov_mib_matches_iterative_past_the_leaf(inst):
     basis, delta = popov_mib(inst)
     assert (basis, delta) == iterative_mib(inst)
     assert is_popov(basis, inst.shift)
+
+
+@FIXED
+@given(st.one_of(instances(), instances(past_leaf=True)))
+def test_weak_popov_kernel_is_certified(inst):
+    # independent of the other engines, which share this kernel: the rows
+    # are interpolants, the basis is s-diagonal weak Popov, and its
+    # diagonal degrees sum to the colength, so it generates the module
+    basis, degrees = iterative_weak_popov(inst)
+    assert is_weak_popov(basis, inst.shift, diagonal=True)
+    assert all(interpolant_check(row, inst) for row in basis.rows)
+    assert degrees == tuple(len(basis.rows[i][i]) - 1 for i in range(inst.m))
+    assert sum(degrees) == _colength(inst)
 
 
 @FIXED

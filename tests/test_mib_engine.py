@@ -32,6 +32,8 @@ def test_interpolant_check_examples():
     assert not interpolant_check([[1]], one_row)
     with pytest.raises(ValueError):
         interpolant_check([[1]], INST1)
+    # E is converted to lists once per instance, not once per checked row
+    assert INST2.module_rows is INST2.module_rows == [[1, 0], [1, 0]]
 
 
 def test_iterative_examples():

@@ -9,13 +9,13 @@ eliminates it from all rows using the minimal row, multiplies that row by
 canonical shifted Popov form.  It is the reference engine every other
 path is checked against.  Un-normalized, the same elimination is the
 Mib's base case, ``iterative_weak_popov``.  It keeps one
-``(m, sigma + m*(sigma+1))`` int64 array: row i is row i's residual, in
-column order, followed by basis row i degree-major.  Columns already
-processed are zero in every row and the pivot row is zero past its
-length bound n, so each constraint touches only the live window
+``(m, sigma + m*(sigma+1))`` int64 array: row i holds the residual of
+basis row i, in column order, then basis row i degree-major.  Columns
+already processed are zero in every row and the pivot row is zero past
+its length bound n, so each constraint touches only the live window
 ``[pos, sigma + (n+1)*m)`` of that array, about ten numpy calls for the
-whole step; before each remainder every value is within (p-1)**2 + p of
-zero, inside int64 as p < 2**31.
+whole step; before each remainder every value is within (p-1)**2 + p
+of zero, inside int64 as p < 2**31.
 
 ``minimal_interpolation_basis`` (the Mib) is the one divide-and-conquer
 recursion: it cuts the constraint space in two (``split_leading``),

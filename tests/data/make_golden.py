@@ -37,8 +37,7 @@ def blocks_of(rng, p, sigma, kind):
     """Jordan blocks in constraint order for one recipe."""
     if kind == "recur":
         # a, b, a, b, ...: every eigenvalue recurs after the other one
-        a, b = rng.sample(range(p), 2) if p > 2 else (0, 1)
-        eigs = (a, b)
+        eigs = tuple(rng.sample(range(p), 2))
     elif kind == "edge":
         eigs = (0, p - 1)
     else:

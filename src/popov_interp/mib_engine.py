@@ -139,7 +139,7 @@ def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     m, sigma = inst.m, inst.sigma
     aug = np.zeros((m, sigma + m * (sigma + 1)), dtype=np.int64)
     aug[:, :sigma] = inst.E
-    aug[range(m), sigma + np.arange(m)] = 1
+    aug[:, sigma : sigma + m] = np.eye(m, dtype=np.int64)  # the identity basis
     xs, carry = column_action(inst.jordan, p)
     # the multiplier of X - x is base - x: the eigenvalues on the residual,
     # 0 on the basis

@@ -15,6 +15,7 @@ from .mib_engine import (
     iterative_mib,
     iterative_weak_popov,
     kernel_oracle,
+    minimal_degree,
     minimal_interpolation_basis,
 )
 from .polymat import (
@@ -54,6 +55,7 @@ __all__ = [
     "kernel_oracle",
     "known_mindeg_mib",
     "matmul",
+    "minimal_degree",
     "minimal_interpolation_basis",
     "pivot_profile",
     "popov_mib",

@@ -32,7 +32,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .ff_poly import Modulus, Poly, poly_mul_trunc, poly_trim, taylor_shift
+from .ff_poly import Modulus, Poly, poly_mul_trunc, poly_trim
 from .polymat import PolyMat
 
 Block = Tuple[int, int]  # (eigenvalue, size)
@@ -109,19 +109,45 @@ def standardize(blocks: Iterable[Block], rows) -> Tuple[JordanSpec, np.ndarray]:
     return JordanSpec(tuple(blocks[i] for i in order)), rows[:, perm]
 
 
+def _shifted_prefix(pl: Poly, x: int, n: int, p: int) -> Poly:
+    """``pl(X + x) mod X**n``, by n synthetic divisions by X - x.
+
+    The k-th remainder is the coefficient of X**k in pl(X + x); this costs
+    O(n * deg pl), against the whole Taylor shift's O(deg pl**2).
+    """
+    if x == 0:
+        return poly_trim(list(pl[:n]))
+    q = list(pl)
+    out = []
+    for _ in range(min(n, len(q))):
+        # Horner in place: q[t] becomes the quotient's coefficient of
+        # X**(t-1), and q[0] the remainder q(x)
+        acc = 0
+        for t in range(len(q) - 1, -1, -1):
+            acc = (acc * x + q[t]) % p
+            q[t] = acc
+        out.append(q.pop(0))
+    return poly_trim(out)
+
+
 def apply_poly_row(pl: Poly, row: Sequence[int], jordan: JordanSpec, field: Modulus) -> List[int]:
     """The module action of pl on one row."""
     if len(row) != jordan.total:
         raise ValueError("row length does not match the Jordan matrix")
     p = field.p
     out = [0] * len(row)
-    shifted = {}  # pl(X + x), once per eigenvalue
+    if not pl:
+        return out
+    longest = {}  # per eigenvalue, its longest block
+    for x, n in jordan.blocks:
+        longest[x] = max(n, longest.get(x, 0))
+    shifted = {}  # pl(X + x) mod X**longest[x], once per eigenvalue
     for (x, n), off in zip(jordan.blocks, jordan.offsets):
         f = poly_trim([c % p for c in row[off : off + n]])
-        if not f or not pl:
+        if not f:
             continue
         if x not in shifted:
-            shifted[x] = taylor_shift(pl, x, field)
+            shifted[x] = _shifted_prefix(pl, x % p, longest[x], p)
         g = poly_mul_trunc(shifted[x], f, n, field)
         out[off : off + len(g)] = g
     return out

@@ -11,11 +11,16 @@ path is checked against.  Un-normalized, the same elimination is the
 Mib's base case, ``iterative_weak_popov``.  It keeps one
 ``(m, sigma + m*(sigma+1))`` int64 array: row i holds the residual of
 basis row i, in column order, then basis row i degree-major.  Columns
-already processed are zero in every row and the pivot row is zero past
-its length bound n, so each constraint touches only the live window
+already processed are zero mod p in every row and the pivot row is zero
+past its length bound n, so each constraint touches only the live window
 ``[pos, sigma + (n+1)*m)`` of that array, about ten numpy calls for the
-whole step; before each remainder every value is within (p-1)**2 + p
-of zero, inside int64 as p < 2**31.
+whole step.  Reduction is lazy: a step reduces the discrepancy column
+and the pivot row, which it reads, and every other row moves by less
+than (p-1)**2, so the whole window is reduced once
+``(2**63-1) // ((p-1)**2 + p) - 2`` steps have passed, and at the end.
+The width of the array decides whether a basis is carried: on E alone,
+width sigma, the same loop (``_eliminate``) gives the same pivots and
+degrees and builds nothing else.
 
 ``minimal_interpolation_basis`` (the Mib) is the one divide-and-conquer
 recursion: it cuts the constraint space in two (``split_leading``),
@@ -32,6 +37,13 @@ same for any bound.  The halves and the residual are column slices of
 keep the Jordan blocks in constraint order.  Only the verification path
 and the CLI read E as lists (``InterpInstance.module_rows``, converted
 once per instance).
+
+``minimal_degree`` is the same recursion restricted to what the paper's
+PopovMib needs first, the degrees: its leaves eliminate on E alone, and
+above a leaf it solves only the left half with the Mib, whose basis the
+residual needs, and recurses on the right half, so the right spine
+builds no basis and no product is formed at its nodes.  Both recursions
+split, push the residual and bump the shift through ``solve_left``.
 
 ``kernel_oracle`` ignores all of that and sets up the degree-bounded
 interpolants as a plain kernel computation over the base field; it is the
@@ -116,45 +128,43 @@ def interpolant_check(row: Sequence[Poly], inst: InterpInstance) -> bool:
     return not any(res[0])
 
 
-def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
-    """Un-normalized s-diagonal weak Popov basis and its pivot degrees.
+def _eliminate(aug: np.ndarray, jordan: JordanSpec, p: int, shift: Sequence[int]):
+    """Eliminate every constraint on the state array ``aug``, in place.
 
-    Constraint-by-constraint elimination.  Ties in s-degree go to the
-    lowest row index, so the basis stays in s-diagonal weak Popov form
-    throughout and row i's pivot degree is its number of (X - x) factors.
-
-    All state is one ``(m, sigma + m*(sigma+1))`` int64 array of residues:
-    row i holds its residual, then basis row i degree-major, the
-    coefficient of X**k in entry j at ``sigma + k*m + j``.  At constraint
-    ``pos`` the columns before pos are zero in every row, and the pivot
-    row is zero from its length bound n on, so the step works on the live
-    window ``[pos, sigma + (n+1)*m)``: the residual from column pos on and
-    the basis up to degree n, one basic slice.  The elimination subtracts
-    c times the pivot row from every row at once (c is 0 on the pivot and
-    on rows whose discrepancy is 0), and the pivot row is multiplied by
-    X - x: X shifts its basis part by m and acts on its residual as one
-    Jordan step.  One remainder then reduces the window.
+    Row i of ``aug`` holds the residual of basis row i in its first sigma
+    columns; what follows, if anything, is basis row i degree-major, the
+    coefficient of X**k in entry j at ``sigma + k*m + j``.  The width
+    decides what is carried: ``sigma + m*(sigma+1)`` with the identity
+    there carries the basis, ``sigma`` (E alone) carries none, and the
+    pivots are the same either way.  Returns the pivot degrees and the
+    basis length bound; the basis columns come back reduced.
     """
-    p = inst.field.p
-    m, sigma = inst.m, inst.sigma
-    aug = np.zeros((m, sigma + m * (sigma + 1)), dtype=np.int64)
-    aug[:, :sigma] = inst.E
-    aug[:, sigma : sigma + m] = np.eye(m, dtype=np.int64)  # the identity basis
-    xs, carry = column_action(inst.jordan, p)
+    m, width = aug.shape
+    sigma = jordan.total
+    xs, carry = column_action(jordan, p)
     # the multiplier of X - x is base - x: the eigenvalues on the residual,
     # 0 on the basis
-    base = np.zeros(aug.shape[1], dtype=np.int64)
+    base = np.zeros(width, dtype=np.int64)
     base[:sigma] = xs
     link = carry[1:].astype(bool)  # column t takes column t-1's value
     xs = xs.tolist()
-    sdeg = list(inst.shift)
+    sdeg = list(shift)
     lens = [1] * m  # row i is zero from degree lens[i] on
+    top = 1  # max(lens)
 
-    # before each remainder, every value is within (p-1)**2 + p of zero:
-    # a residue minus a residue times a residue, or a residue times a
-    # difference of residues plus a residue; inside int64 as p < 2**31
+    # Each step reduces only what it reads: the discrepancy column, in
+    # Python, and the pivot row's window.  A step sets the pivot row to a
+    # residue times a difference of residues plus a residue, within
+    # (p-1)**2 + p of zero, and subtracts a residue times a residue, less
+    # than (p-1)**2, from every other row.  So after k steps since the last
+    # full remainder every value is within k*((p-1)**2 + p) of zero, and
+    # the window is reduced once budget steps have passed, two short of
+    # what int64 holds: about every 7 steps for p = 998244353, never
+    # before the end for p = 97, and every step near 2**31.
+    budget = (2**63 - 1) // ((p - 1) ** 2 + p) - 2
+    steps = 0
     for pos in range(sigma):
-        col = aug[:, pos].tolist()
+        col = [v % p for v in aug[:, pos].tolist()]
         pi = -1
         for i, v in enumerate(col):
             if v and (pi < 0 or sdeg[i] < sdeg[pi]):
@@ -162,15 +172,16 @@ def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
         if pi < 0:
             continue
         n = lens[pi]
-        end = sigma + (n + 1) * m
+        end = min(sigma + (n + 1) * m, width)
         row = aug[pi, pos:end]
+        np.remainder(row, p, out=row)
         r = sigma - pos  # the basis starts at row[r]
         # the pivot row times X - x, x the eigenvalue of this constraint:
         # on the basis X shifts by m; on the residual it is one Jordan step,
         # which clears column pos and shifts the rest of its block
         w = row * (base[pos:end] - xs[pos])
         np.add(w[1:r], row[: r - 1], out=w[1:r], where=link[pos:])
-        w[r + m :] += row[r : -m]
+        w[r + m :] += row[r:-m]
         if m - col.count(0) > 1:
             # eliminate the discrepancy from the other rows with the pivot
             # row; the multiplier is 0 on the pivot and on rows already zero
@@ -180,16 +191,48 @@ def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
             for i, v in enumerate(col):
                 if v and lens[i] < n:
                     lens[i] = n
-            live = aug[:, pos:end]
-            live -= np.multiply.outer(c, row)
-            row[:] = w
-            np.remainder(live, p, out=live)
-        else:
-            np.remainder(w, p, out=row)
+            aug[:, pos:end] -= np.multiply.outer(c, row)
+        row[:] = w
         lens[pi] = n + 1
+        top = max(top, n + 1)
         sdeg[pi] += 1
-    degrees = tuple(d - s for d, s in zip(sdeg, inst.shift))
-    n = max(lens)
+        steps += 1
+        if steps >= budget:
+            live = aug[:, pos + 1 : min(sigma + top * m, width)]
+            np.remainder(live, p, out=live)
+            steps = 0
+    basis = aug[:, sigma : min(sigma + top * m, width)]
+    np.remainder(basis, p, out=basis)
+    return tuple(d - s for d, s in zip(sdeg, shift)), top
+
+
+def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
+    """Un-normalized s-diagonal weak Popov basis and its pivot degrees.
+
+    Constraint-by-constraint elimination.  Ties in s-degree go to the
+    lowest row index, so the basis stays in s-diagonal weak Popov form
+    throughout and row i's pivot degree is its number of (X - x) factors.
+
+    All state is one ``(m, sigma + m*(sigma+1))`` int64 array: row i
+    holds its residual, then basis row i degree-major, the coefficient of
+    X**k in entry j at ``sigma + k*m + j``, starting from the identity.
+    At constraint ``pos`` the columns before pos are zero mod p in every
+    row, and the pivot row is zero from its length bound n on, so the
+    step works on the live window ``[pos, sigma + (n+1)*m)``: the residual
+    from column pos on and the basis up to degree n, one basic slice.  The
+    elimination subtracts c times the pivot row from every row at once (c
+    is 0 on the pivot and on rows whose discrepancy is 0), and the pivot
+    row is multiplied by X - x: X shifts its basis part by m and acts on
+    its residual as one Jordan step.  Reduction is lazy: each step reduces
+    the discrepancy column and the pivot row, and the whole window is
+    reduced only when int64 headroom runs out (see ``_eliminate``), and
+    once at the end.  ``minimal_degree`` runs the same loop on E alone.
+    """
+    m, sigma = inst.m, inst.sigma
+    aug = np.zeros((m, sigma + m * (sigma + 1)), dtype=np.int64)
+    aug[:, :sigma] = inst.E
+    aug[:, sigma : sigma + m] = np.eye(m, dtype=np.int64)  # the identity basis
+    degrees, n = _eliminate(aug, inst.jordan, inst.field.p, inst.shift)
     basis = aug[:, sigma : sigma + n * m].reshape(m, n, m).transpose(0, 2, 1)
     return PolyMat.from_coeffs(inst.field, np.ascontiguousarray(basis)), degrees
 
@@ -225,26 +268,48 @@ def split_leading(inst: InterpInstance) -> Tuple[InterpInstance, JordanSpec]:
     return inst1, JordanSpec(tuple(blocks2))
 
 
+def solve_left(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree, InterpInstance]:
+    """The left half's basis P1 and pivot degrees d1, and the right half.
+
+    The left half from ``split_leading`` is solved by the Mib; the right
+    half is the residual of P1 against E, restricted to the trailing
+    blocks, under the shift bumped by d1.
+    """
+    inst1, jordan2 = split_leading(inst)
+    p1, d1 = minimal_interpolation_basis(inst1)
+    rem = residual(p1, inst.E, inst.jordan)
+    shift2 = tuple(sv + dv for sv, dv in zip(inst.shift, d1))
+    return p1, d1, InterpInstance(inst.field, rem[:, inst1.sigma :], jordan2, shift2)
+
+
 def minimal_interpolation_basis(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """A shifted diagonal weak Popov interpolation basis (not normalized)
     and its pivot degrees.
 
     Up to ``LEAF * m`` constraints this is ``iterative_weak_popov``.
-    Otherwise the left half from ``split_leading`` is solved into P1
-    with pivot degrees d1; the residual of P1 against E, restricted to
-    the trailing blocks, is the right half, solved into P2 under the
-    shift bumped by d1.  P2 * P1 is an s-diagonal weak Popov
-    interpolation basis with pivot degrees d1 + d2.
+    Otherwise ``solve_left`` gives the left half's basis P1, its pivot
+    degrees d1 and the right half, which is solved into P2 with pivot
+    degrees d2.  P2 * P1 is an s-diagonal weak Popov interpolation basis
+    with pivot degrees d1 + d2.
     """
     if inst.sigma <= LEAF * inst.m:
         return iterative_weak_popov(inst)
-    inst1, jordan2 = split_leading(inst)
-    p1, d1 = minimal_interpolation_basis(inst1)
-    rem = residual(p1, inst.E, inst.jordan)
-    shift2 = tuple(sv + dv for sv, dv in zip(inst.shift, d1))
-    inst2 = InterpInstance(inst.field, rem[:, inst1.sigma :], jordan2, shift2)
+    p1, d1, inst2 = solve_left(inst)
     p2, d2 = minimal_interpolation_basis(inst2)
     return matmul(p2, p1), tuple(a + b for a, b in zip(d1, d2))
+
+
+def minimal_degree(inst: InterpInstance) -> MinimalDegree:
+    """The s-minimal degree: the Mib's pivot degrees, without its basis.
+
+    A leaf eliminates on E alone.  Above a leaf only the left half needs
+    a basis, for the residual; the right half is again a degree problem,
+    so the right spine builds no basis and no product is formed.
+    """
+    if inst.sigma <= LEAF * inst.m:
+        return _eliminate(np.array(inst.E), inst.jordan, inst.field.p, inst.shift)[0]
+    _, d1, inst2 = solve_left(inst)
+    return tuple(a + b for a, b in zip(d1, minimal_degree(inst2)))
 
 
 def kernel_oracle(inst: InterpInstance, bound: int) -> List[List[Poly]]:

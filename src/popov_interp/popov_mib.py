@@ -1,11 +1,12 @@
 """Shifted Popov interpolation bases: PopovMib -> KnownDegreeMib -> Mib.
 
-``popov_mib`` runs the divide-and-conquer Mib
-(``minimal_interpolation_basis``) once over the whole instance and keeps
-only its pivot degrees: the shifted pivot degrees of any shifted
-diagonal weak Popov basis are the shifted minimal degree.  It hands them
-to ``known_mindeg_mib``, which rebuilds the canonical basis from scratch,
-once, at the root:
+``popov_mib`` follows the paper's PopovMib: it first computes only the
+degrees, the shifted minimal degree of the instance
+(``mib_engine.minimal_degree``: the Mib's recursion with no basis on its
+right spine and leaves that eliminate on E alone; the shifted pivot
+degrees of any shifted diagonal weak Popov basis are that degree).  It
+hands them to ``known_mindeg_mib``, which builds the canonical basis
+from scratch, once, at the root:
 
 * the columns are partially linearized in degree ceil(sigma/m) against an
   expansion-compression gadget, so the expanded problem has at most 2m
@@ -38,10 +39,11 @@ rows, sigma = 256) the Mib's basis has 18,007 coefficients against
 the Popov basis's 2,334 and 16*(sigma+1) = 4,112.  One recursion and
 one rebuild are still faster there than a rebuild at every node.
 
-Nothing is recorded along the way.  ``popov_mib`` calls the Mib and
-``known_mindeg_mib`` through their module-level names here, and the Mib
-recurses through its own name in ``mib_engine``, so a caller that wants
-to see every split wraps both bindings.
+Nothing is recorded along the way.  ``popov_mib`` calls
+``minimal_degree`` and ``known_mindeg_mib``, and the rebuild calls the
+Mib, through their module-level names here; ``minimal_degree`` and the
+Mib recurse through their own names in ``mib_engine``, so a caller that
+wants to see every split wraps those bindings.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .mib_engine import (
     InterpInstance,
     MinimalDegree,
     iterative_mib,
+    minimal_degree,
     minimal_interpolation_basis,
 )
 from .polymat import PolyMat, is_popov
@@ -157,10 +160,10 @@ def known_mindeg_mib(inst: InterpInstance, mindeg: MinimalDegree) -> PolyMat:
 def popov_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """The s-Popov interpolation basis and the s-minimal degree.
 
-    Up to m constraints this is ``iterative_mib``.  Otherwise the Mib's
-    pivot degrees are fed to the known-degree rebuild.
+    Up to m constraints this is ``iterative_mib``.  Otherwise the
+    minimal degree is fed to the known-degree rebuild.
     """
     if inst.sigma <= inst.m:
         return iterative_mib(inst)
-    _, mindeg = minimal_interpolation_basis(inst)
+    mindeg = minimal_degree(inst)
     return known_mindeg_mib(inst, mindeg), mindeg

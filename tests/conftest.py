@@ -66,8 +66,9 @@ def capture(monkeypatch, name, modules=(POPOV_MIB,)):
     """Record ``(args, result)`` of every call made through ``<module>.<name>``.
 
     Each module's binding is wrapped, all recording into one list in the
-    order the calls return.  ``popov_mib`` calls ``known_mindeg_mib`` and
-    the Mib through its own bindings, and the Mib recurses through
+    order the calls return.  ``popov_mib`` calls ``minimal_degree`` and
+    ``known_mindeg_mib`` through its own bindings, the rebuild calls the
+    Mib through ``popov_mib``'s, and the recursions call it through
     ``mib_engine``'s, so wrapping both Mib bindings sees every split.
     """
     calls = []

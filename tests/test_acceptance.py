@@ -19,6 +19,7 @@ from popov_interp import (
     kernel_oracle,
     known_mindeg_mib,
     matmul,
+    minimal_degree,
     minimal_interpolation_basis,
     popov_mib,
     weak_popov_to_popov,
@@ -94,7 +95,7 @@ def test_criterion_2_kernel_dimension_certificate():
 
 def test_criterion_3_pivot_degree_additivity(monkeypatch):
     rng = random.Random(SEED + 3)
-    mibs = capture(monkeypatch, "minimal_interpolation_basis", (POPOV_MIB, MIB_ENGINE))
+    mibs = capture(monkeypatch, "minimal_interpolation_basis", (MIB_ENGINE,))
     done = 0
     splits_checked = 0
     while done < 50:
@@ -104,10 +105,11 @@ def test_criterion_3_pivot_degree_additivity(monkeypatch):
         if inst.sigma <= MIB_ENGINE.LEAF * inst.m:
             continue
         mibs.clear()
-        popov, _ = popov_mib(inst)
+        # through the module binding, so the root is recorded too
+        MIB_ENGINE.minimal_interpolation_basis(inst)
         splits, roots = mib_splits(mibs)
-        # the Mib of the instance, then the one inside the rebuild
-        assert len(roots) == 2 and roots[0][0] is inst
+        [(root, mib, mib_degrees)] = roots
+        assert root is inst
         for node, basis, mindeg, (_, left, d1), (_, right, d2) in splits:
             s = node.shift
             assert mindeg == tuple(a + b for a, b in zip(d1, d2))
@@ -116,7 +118,9 @@ def test_criterion_3_pivot_degree_additivity(monkeypatch):
             assert pivot_degrees(basis, s) == mindeg
             assert weak_popov_to_popov(basis, s).rows == iterative_mib(node)[0].rows
             splits_checked += 1
-        assert weak_popov_to_popov(roots[0][1], inst.shift).rows == popov.rows
+        popov, delta = popov_mib(inst)
+        assert delta == minimal_degree(inst) == mib_degrees
+        assert weak_popov_to_popov(mib, inst.shift).rows == popov.rows
         done += 1
     print(f"\nACCEPTANCE 3: PASS - {done} instances, {splits_checked} splits: "
           f"delta = delta1 + delta2 and P2*P1 normalizes to the node's Popov basis")

@@ -4,6 +4,9 @@ Hypothesis runs derandomized and without an example database, so the
 cases are the same on every run and nothing is written to disk.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +20,7 @@ from popov_interp import (
     iterative_mib,
     iterative_weak_popov,
     kernel_oracle,
+    minimal_degree,
     popov_mib,
     standardize,
 )
@@ -85,17 +89,50 @@ def test_popov_mib_matches_iterative_past_the_leaf(inst):
     assert is_popov(basis, inst.shift)
 
 
+def _certify(inst, basis, degrees):
+    assert is_weak_popov(basis, inst.shift, diagonal=True)
+    assert all(interpolant_check(row, inst) for row in basis.rows)
+    assert degrees == tuple(len(basis.rows[i][i]) - 1 for i in range(inst.m))
+    assert sum(degrees) == _colength(inst)
+
+
 @FIXED
 @given(st.one_of(instances(), instances(past_leaf=True)))
 def test_weak_popov_kernel_is_certified(inst):
     # independent of the other engines, which share this kernel: the rows
     # are interpolants, the basis is s-diagonal weak Popov, and its
     # diagonal degrees sum to the colength, so it generates the module
-    basis, degrees = iterative_weak_popov(inst)
-    assert is_weak_popov(basis, inst.shift, diagonal=True)
-    assert all(interpolant_check(row, inst) for row in basis.rows)
-    assert degrees == tuple(len(basis.rows[i][i]) - 1 for i in range(inst.m))
-    assert sum(degrees) == _colength(inst)
+    _certify(inst, *iterative_weak_popov(inst))
+
+
+@pytest.mark.parametrize("p", (998244353, 2**31 - 1))
+def test_lazy_reduction_at_worst_case_magnitudes(p):
+    # entries p-1 and eigenvalues 0 and p-1 put products of residues near
+    # (p-1)**2; sigma spans at least four of the elimination's reduction
+    # budgets, so unreduced values build up between full remainders; under
+    # the Hermite shift row 0 is the pivot at every step, so the other rows
+    # are reduced only by the full remainders
+    budget = (2**63 - 1) // ((p - 1) ** 2 + p) - 2
+    rng = random.Random(p)
+    for m, hermite in ((2, False), (4, False), (6, False), (3, True), (6, True)):
+        sigma = 4 * budget + m + 40
+        blocks, left = [], sigma
+        while left:
+            n = min(left, rng.randint(1, 6))
+            blocks.append((rng.choice((0, p - 1)), n))
+            left -= n
+        rows = [[p - 1] * sigma] + [
+            [rng.choice((p - 1, p - 1, 1, rng.randrange(p))) for _ in range(sigma)]
+            for _ in range(m - 1)
+        ]
+        if hermite:
+            shift = tuple(i * sigma for i in range(m))
+        else:
+            shift = tuple(rng.randint(0, sigma) for _ in range(m))
+        inst = InterpInstance(FIELDS[p], rows, JordanSpec(tuple(blocks)), shift)
+        basis, degrees = iterative_weak_popov(inst)
+        _certify(inst, basis, degrees)
+        assert minimal_degree(inst) == degrees
 
 
 @FIXED

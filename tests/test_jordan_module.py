@@ -83,10 +83,11 @@ def _dense_jordan(spec, p):
 
 
 def _apply_via_matrix(pl, row, spec, p):
+    # on Python integers, exact at any p
     sigma = spec.total
-    J = _dense_jordan(spec, p)
-    acc = np.zeros(sigma, dtype=np.int64)
-    v = np.array(row, dtype=np.int64) % p
+    J = _dense_jordan(spec, p).astype(object)
+    acc = np.zeros(sigma, dtype=object)
+    v = np.array(row, dtype=object) % p
     for c in pl:
         acc = (acc + c * v) % p
         v = v @ J % p
@@ -94,18 +95,22 @@ def _apply_via_matrix(pl, row, spec, p):
 
 
 def test_apply_poly_matches_dense_matrix(rng):
-    for _ in range(50):
-        sigma = rng.randint(1, 8)
-        blocks = []
-        left = sigma
-        while left:
-            n = rng.randint(1, left)
-            blocks.append((rng.randrange(97), n))
-            left -= n
-        spec = JordanSpec(tuple(blocks))
-        row = [rng.randrange(97) for _ in range(sigma)]
-        pl = poly_trim([rng.randrange(97) for _ in range(rng.randint(0, 9))])
-        assert apply_poly_row(pl, row, spec, F) == _apply_via_matrix(pl, row, spec, 97)
+    for p in (97, 2**31 - 1):
+        field = Modulus(p)
+        for _ in range(50):
+            sigma = rng.randint(1, 8)
+            spec = JordanSpec(tuple(_random_blocks(rng, sigma, p)))
+            row = [rng.randrange(p) for _ in range(sigma)]
+            pl = poly_trim([rng.randrange(p) for _ in range(rng.randint(0, 9))])
+            assert apply_poly_row(pl, row, spec, field) == _apply_via_matrix(pl, row, spec, p)
+        # an eigenvalue whose blocks differ in size, the longest not first:
+        # pl(X + x) is needed to the longest block's length; 0 and p-1 too
+        for x in (0, rng.randrange(1, p - 1), p - 1):
+            spec = JordanSpec(((x, 2), (5, 1), (x, 5), (x, 1)))
+            for deg in (0, 1, 3, 4, 5, 9):
+                row = [rng.choice((p - 1, rng.randrange(p))) for _ in range(spec.total)]
+                pl = poly_trim([rng.randrange(p) for _ in range(deg)] + [p - 1])
+                assert apply_poly_row(pl, row, spec, field) == _apply_via_matrix(pl, row, spec, p)
 
 
 def test_apply_poly_module_axioms(rng):

@@ -16,6 +16,7 @@ from popov_interp import (
     kernel_oracle,
     known_mindeg_mib,
     matmul,
+    minimal_degree,
     minimal_interpolation_basis,
     popov_mib,
     weak_popov_to_popov,
@@ -176,16 +177,18 @@ def test_popov_mib_trivial_and_small():
 
 
 def test_popov_mib_split_records(rng, monkeypatch):
-    mibs = capture(monkeypatch, "minimal_interpolation_basis", (POPOV_MIB, MIB_ENGINE))
+    mibs = capture(monkeypatch, "minimal_interpolation_basis", (MIB_ENGINE,))
     seen = 0
     while seen < 10:
         inst = random_instance(rng, sigma_range=(4, 10 * MIB_ENGINE.LEAF), m_range=(1, 3))
         if inst.sigma <= MIB_ENGINE.LEAF * inst.m:
             continue
         mibs.clear()
-        basis, delta = popov_mib(inst)
+        # through the module binding, so the root is recorded too
+        MIB_ENGINE.minimal_interpolation_basis(inst)
         splits, roots = mib_splits(mibs)
-        assert splits and roots[0][0] is inst and roots[0][2] == delta
+        [(root, _, root_degrees)] = roots
+        assert splits and root is inst
         for node, prod, mindeg, (left_node, left, d1), (right_node, right, d2) in splits:
             assert left_node.sigma == -(-node.sigma // 2)
             assert left_node.sigma + right_node.sigma == node.sigma
@@ -202,6 +205,8 @@ def test_popov_mib_split_records(rng, monkeypatch):
             assert weak_popov_to_popov(prod, s).rows == ref.rows
             # the degree tuple matches an independent run on that node
             assert ref_delta == mindeg
+        basis, delta = popov_mib(inst)
+        assert delta == minimal_degree(inst) == root_degrees
         assert is_popov(basis, inst.shift)
         seen += 1
 

@@ -16,8 +16,10 @@ past its length bound n, so each constraint touches only the live window
 ``[pos, sigma + (n+1)*m)`` of that array, about ten numpy calls for the
 whole step.  Reduction is lazy: a step reduces the discrepancy column
 and the pivot row, which it reads, and every other row moves by less
-than (p-1)**2, so the whole window is reduced once
-``(2**63-1) // ((p-1)**2 + p) - 2`` steps have passed, and at the end.
+than (p-1)**2, so the columns moved since the last remainder are
+reduced once ``(2**63-1) // ((p-1)**2 + p) - 2`` steps have passed, and
+at the end.  Near 2**31 that is after every step, and the step then
+reduces nothing else.
 The width of the array decides whether a basis is carried: on E alone,
 width sigma, the same loop (``_eliminate``) gives the same pivots and
 degrees and builds nothing else.
@@ -150,21 +152,26 @@ def _eliminate(aug: np.ndarray, jordan: JordanSpec, p: int, shift: Sequence[int]
     xs = xs.tolist()
     sdeg = list(shift)
     lens = [1] * m  # row i is zero from degree lens[i] on
-    top = 1  # max(lens)
 
-    # Each step reduces only what it reads: the discrepancy column, in
-    # Python, and the pivot row's window.  A step sets the pivot row to a
-    # residue times a difference of residues plus a residue, within
-    # (p-1)**2 + p of zero, and subtracts a residue times a residue, less
-    # than (p-1)**2, from every other row.  So after k steps since the last
-    # full remainder every value is within k*((p-1)**2 + p) of zero, and
-    # the window is reduced once budget steps have passed, two short of
-    # what int64 holds: about every 7 steps for p = 998244353, never
-    # before the end for p = 97, and every step near 2**31.
+    # Each step moves only its window [pos, end).  The values it reads,
+    # the discrepancy column, in Python, and the pivot row's window, are
+    # reduced first, unless nothing has moved since the last remainder.
+    # A step sets the pivot row to a residue times a difference of
+    # residues plus a residue, within (p-1)**2 + p of zero, and subtracts
+    # a residue times a residue, less than (p-1)**2, from every other row.
+    # So after k steps since the last remainder every value is within
+    # k*((p-1)**2 + p) of zero, and the columns moved since then, pos+1
+    # to hi, are reduced once budget steps have passed, two short of what
+    # int64 holds: about every 7 steps for p = 998244353, never before the
+    # end for p = 97, and after every step near 2**31, where that one
+    # remainder is all the step reduces.
     budget = (2**63 - 1) // ((p - 1) ** 2 + p) - 2
     steps = 0
+    hi = 0  # the columns from hi on are reduced
     for pos in range(sigma):
-        col = [v % p for v in aug[:, pos].tolist()]
+        col = aug[:, pos].tolist()
+        if steps:
+            col = [v % p for v in col]
         pi = -1
         for i, v in enumerate(col):
             if v and (pi < 0 or sdeg[i] < sdeg[pi]):
@@ -174,7 +181,8 @@ def _eliminate(aug: np.ndarray, jordan: JordanSpec, p: int, shift: Sequence[int]
         n = lens[pi]
         end = min(sigma + (n + 1) * m, width)
         row = aug[pi, pos:end]
-        np.remainder(row, p, out=row)
+        if steps:
+            np.remainder(row, p, out=row)
         r = sigma - pos  # the basis starts at row[r]
         # the pivot row times X - x, x the eigenvalue of this constraint:
         # on the basis X shifts by m; on the residual it is one Jordan step,
@@ -194,16 +202,16 @@ def _eliminate(aug: np.ndarray, jordan: JordanSpec, p: int, shift: Sequence[int]
             aug[:, pos:end] -= np.multiply.outer(c, row)
         row[:] = w
         lens[pi] = n + 1
-        top = max(top, n + 1)
         sdeg[pi] += 1
+        hi = max(hi, end)
         steps += 1
         if steps >= budget:
-            live = aug[:, pos + 1 : min(sigma + top * m, width)]
-            np.remainder(live, p, out=live)
-            steps = 0
-    basis = aug[:, sigma : min(sigma + top * m, width)]
+            moved = aug[:, pos + 1 : hi]
+            np.remainder(moved, p, out=moved)
+            steps = hi = 0
+    basis = aug[:, sigma:hi]
     np.remainder(basis, p, out=basis)
-    return tuple(d - s for d, s in zip(sdeg, shift)), top
+    return tuple(d - s for d, s in zip(sdeg, shift)), max(lens)
 
 
 def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
@@ -224,9 +232,10 @@ def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     is 0 on the pivot and on rows whose discrepancy is 0), and the pivot
     row is multiplied by X - x: X shifts its basis part by m and acts on
     its residual as one Jordan step.  Reduction is lazy: each step reduces
-    the discrepancy column and the pivot row, and the whole window is
-    reduced only when int64 headroom runs out (see ``_eliminate``), and
-    once at the end.  ``minimal_degree`` runs the same loop on E alone.
+    the discrepancy column and the pivot row, and the columns moved since
+    the last remainder are reduced only when int64 headroom runs out (see
+    ``_eliminate``), and once at the end.  ``minimal_degree`` runs the
+    same loop on E alone.
     """
     m, sigma = inst.m, inst.sigma
     aug = np.zeros((m, sigma + m * (sigma + 1)), dtype=np.int64)

@@ -69,7 +69,10 @@ def capture(monkeypatch, name, modules=(POPOV_MIB,)):
     order the calls return.  ``popov_mib`` calls ``minimal_degree`` and
     ``known_mindeg_mib`` through its own bindings, the rebuild calls the
     Mib through ``popov_mib``'s, and the recursions call it through
-    ``mib_engine``'s, so wrapping both Mib bindings sees every split.
+    ``mib_engine``'s.  So wrapping both Mib bindings sees every Mib node
+    of a solve: the trees of the left halves ``minimal_degree`` solves,
+    in order, then the rebuild's tree.  ``minimal_degree``'s right spine
+    builds no basis and makes no Mib call.
     """
     calls = []
     for module in modules:

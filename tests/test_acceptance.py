@@ -95,7 +95,7 @@ def test_criterion_2_kernel_dimension_certificate():
 
 def test_criterion_3_pivot_degree_additivity(monkeypatch):
     rng = random.Random(SEED + 3)
-    mibs = capture(monkeypatch, "minimal_interpolation_basis", (MIB_ENGINE,))
+    mibs = capture(monkeypatch, "minimal_interpolation_basis", (POPOV_MIB, MIB_ENGINE))
     done = 0
     splits_checked = 0
     while done < 50:
@@ -107,10 +107,20 @@ def test_criterion_3_pivot_degree_additivity(monkeypatch):
         mibs.clear()
         # through the module binding, so the root is recorded too
         MIB_ENGINE.minimal_interpolation_basis(inst)
-        splits, roots = mib_splits(mibs)
-        [(root, mib, mib_degrees)] = roots
+        splits, [(root, mib, mib_degrees)] = mib_splits(mibs)
         assert root is inst
-        for node, basis, mindeg, (_, left, d1), (_, right, d2) in splits:
+        mibs.clear()
+        popov, delta = popov_mib(inst)
+        solve_splits, roots = mib_splits(mibs)
+        # the Mibs of minimal_degree's left halves, the first the
+        # instance's own, then the one inside the rebuild, which keeps the
+        # instance's Jordan data and has one row per expansion chunk
+        *lefts, (rebuild, _, _) = roots
+        assert lefts and lefts[0][0].sigma == -(-inst.sigma // 2)
+        assert all(node.jordan is not inst.jordan for node, _, _ in lefts)
+        assert rebuild.jordan is inst.jordan
+        assert rebuild.m == sum(build_expansion(delta, inst.m, inst.sigma).alpha)
+        for node, basis, mindeg, (_, left, d1), (_, right, d2) in splits + solve_splits:
             s = node.shift
             assert mindeg == tuple(a + b for a, b in zip(d1, d2))
             assert basis.rows == matmul(right, left).rows
@@ -118,7 +128,6 @@ def test_criterion_3_pivot_degree_additivity(monkeypatch):
             assert pivot_degrees(basis, s) == mindeg
             assert weak_popov_to_popov(basis, s).rows == iterative_mib(node)[0].rows
             splits_checked += 1
-        popov, delta = popov_mib(inst)
         assert delta == minimal_degree(inst) == mib_degrees
         assert weak_popov_to_popov(mib, inst.shift).rows == popov.rows
         done += 1

@@ -177,7 +177,7 @@ def test_popov_mib_trivial_and_small():
 
 
 def test_popov_mib_split_records(rng, monkeypatch):
-    mibs = capture(monkeypatch, "minimal_interpolation_basis", (MIB_ENGINE,))
+    mibs = capture(monkeypatch, "minimal_interpolation_basis", (POPOV_MIB, MIB_ENGINE))
     seen = 0
     while seen < 10:
         inst = random_instance(rng, sigma_range=(4, 10 * MIB_ENGINE.LEAF), m_range=(1, 3))
@@ -186,10 +186,17 @@ def test_popov_mib_split_records(rng, monkeypatch):
         mibs.clear()
         # through the module binding, so the root is recorded too
         MIB_ENGINE.minimal_interpolation_basis(inst)
-        splits, roots = mib_splits(mibs)
-        [(root, _, root_degrees)] = roots
+        splits, [(root, _, root_degrees)] = mib_splits(mibs)
         assert splits and root is inst
-        for node, prod, mindeg, (left_node, left, d1), (right_node, right, d2) in splits:
+        mibs.clear()
+        basis, delta = popov_mib(inst)
+        solve_splits, roots = mib_splits(mibs)
+        # minimal_degree's left halves, then the rebuild's Mib
+        *lefts, (rebuild, _, _) = roots
+        assert lefts and rebuild.jordan is inst.jordan
+        for node, prod, mindeg, (left_node, left, d1), (right_node, right, d2) in (
+            splits + solve_splits
+        ):
             assert left_node.sigma == -(-node.sigma // 2)
             assert left_node.sigma + right_node.sigma == node.sigma
             assert mindeg == tuple(a + b for a, b in zip(d1, d2))
@@ -205,7 +212,6 @@ def test_popov_mib_split_records(rng, monkeypatch):
             assert weak_popov_to_popov(prod, s).rows == ref.rows
             # the degree tuple matches an independent run on that node
             assert ref_delta == mindeg
-        basis, delta = popov_mib(inst)
         assert delta == minimal_degree(inst) == root_degrees
         assert is_popov(basis, inst.shift)
         seen += 1

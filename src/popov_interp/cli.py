@@ -48,7 +48,21 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
+    _check_integers(data, path)
     return data
+
+
+def _check_integers(value, path: str) -> None:
+    """Reject every number in a JSON document that is not an integer.
+
+    Booleans and floats would otherwise pass as integers (``true`` as 1)
+    or be truncated where they are packed into int64 arrays.
+    """
+    if isinstance(value, (bool, float)):
+        raise InputError(f"{path}: {json.dumps(value)} is not an integer")
+    if isinstance(value, (list, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            _check_integers(v, path)
 
 
 def _field_of(data: dict) -> Modulus:
@@ -68,7 +82,7 @@ def load_instance(path: str) -> InterpInstance:
                 raise ValueError("E entries must be residues in [0, p)")
         if any(not isinstance(v, int) for v in data["shift"]):
             raise ValueError("shift entries must be integers")
-        jordan = JordanSpec.from_json({"groups": data["jordan"]}, field.p)
+        jordan = JordanSpec.from_json(data["jordan"], field.p)
         inst = InterpInstance(field, data["E"], jordan, tuple(data["shift"]))
         if inst.m != data.get("m", inst.m):
             raise ValueError("m does not match the number of rows of E")
@@ -81,7 +95,7 @@ def instance_to_json(inst: InterpInstance) -> dict:
     return {
         "p": inst.field.p,
         "m": inst.m,
-        "jordan": inst.jordan.to_json()["groups"],
+        "jordan": inst.jordan.to_json(),
         "E": inst.E.tolist(),
         "shift": list(inst.shift),
     }
@@ -113,7 +127,7 @@ def cmd_solve(args) -> int:
     else:  # oracle-check: run both and diff
         b1, d1 = popov_mib(inst)
         b2, d2 = iterative_mib(inst)
-        if b1.rows != b2.rows or d1 != d2:
+        if b1 != b2 or d1 != d2:
             print("engine mismatch: popov and iterative outputs differ", file=sys.stderr)
             return CHECK_FAILED
         basis, delta = b1, d1

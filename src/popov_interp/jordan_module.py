@@ -62,7 +62,7 @@ class JordanSpec:
     def total(self) -> int:
         return sum(n for _, n in self.blocks)
 
-    def to_json(self) -> dict:
+    def to_json(self) -> List[list]:
         """The blocks as maximal runs ``[eigenvalue, [sizes...]]`` of one eigenvalue."""
         runs = []
         for x, n in self.blocks:
@@ -70,13 +70,19 @@ class JordanSpec:
                 runs[-1][1].append(n)
             else:
                 runs.append([x, [n]])
-        return {"groups": runs}
+        return runs
 
     @classmethod
-    def from_json(cls, data: dict, p: int) -> "JordanSpec":
-        """Expand runs ``[eigenvalue, [sizes...]]`` into blocks, in order."""
+    def from_json(cls, runs, p: int) -> "JordanSpec":
+        """Expand runs ``[eigenvalue, [sizes...]]`` into blocks, in order.
+
+        The older ``{"groups": runs}`` wrapper, which perfbench's tests
+        still pass, is read as its runs.
+        """
+        if isinstance(runs, dict):
+            runs = runs["groups"]
         blocks = []
-        for x, sizes in data["groups"]:
+        for x, sizes in runs:
             if not isinstance(x, int) or any(not isinstance(n, int) for n in sizes):
                 raise ValueError("eigenvalues and block sizes must be integers")
             if not sizes:

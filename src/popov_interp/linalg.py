@@ -6,7 +6,7 @@ Residues and the modulus stay below 2**31 so products fit in int64.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -69,10 +69,10 @@ def inv_mod(rows, p: int) -> Optional[np.ndarray]:
     return m[:, n:]
 
 
-def left_nullspace(rows, p: int) -> List[List[int]]:
-    """Basis of {x : x A = 0} as a list of length-nrows vectors."""
+def left_nullspace(rows, p: int) -> np.ndarray:
+    """Basis of {x : x A = 0}, one length-nrows vector per row."""
     a = as_matrix(rows, p)
     n = a.shape[0]
     m = np.hstack([a, np.eye(n, dtype=np.int64)])
     r = _echelonize(m, p, a.shape[1])
-    return [[int(v) for v in row] for row in m[r:, a.shape[1] :]]
+    return m[r:, a.shape[1] :]

@@ -61,7 +61,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .ff_poly import Modulus, Poly, poly_trim
+from .ff_poly import Modulus, Poly
 from .jordan_module import JordanSpec, column_action, residual, residual_direct
 from .polymat import PolyMat, matmul, weak_popov_to_popov
 
@@ -125,7 +125,7 @@ def interpolant_check(row: Sequence[Poly], inst: InterpInstance) -> bool:
     """True iff row . E vanishes under the module action."""
     if len(row) != inst.m:
         raise ValueError("row length does not match the instance")
-    rmat = PolyMat(inst.field, [[list(e) for e in row]])
+    rmat = PolyMat(inst.field, [list(row)])
     res = residual_direct(rmat, inst.module_rows, inst.jordan)
     return not any(res[0])
 
@@ -248,10 +248,8 @@ def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
 
 def iterative_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """The s-Popov interpolation basis and its diagonal degrees."""
-    weak, _ = iterative_weak_popov(inst)
-    popov = weak_popov_to_popov(weak, inst.shift)
-    delta = tuple(len(popov.rows[i][i]) - 1 for i in range(inst.m))
-    return popov, delta
+    weak, delta = iterative_weak_popov(inst)
+    return weak_popov_to_popov(weak, inst.shift), delta
 
 
 def split_leading(inst: InterpInstance) -> Tuple[InterpInstance, JordanSpec]:
@@ -325,50 +323,35 @@ def kernel_oracle(inst: InterpInstance, bound: int) -> List[List[Poly]]:
     """Basis of the space of interpolants with s-degree at most bound.
 
     Enumerates the monomial candidates X**k * e_i with k + s_i <= bound,
-    maps each to its residual vector by the direct module action, and
-    extracts the left kernel by Gaussian elimination over the base field.
+    maps each to its residual vector X**k . E_i, and extracts the left
+    kernel by Gaussian elimination over the base field.  The vectors come
+    from one X step per power on all rows of E at once, with the oracle's
+    own per-column eigenvalues (reduced mod p first) and block starts.
     Completely independent of the basis engines.
     """
-    field = inst.field
-    p = field.p
-    m = inst.m
-    s = inst.shift
-    sigma = inst.sigma
-    counts = [max(0, bound - si + 1) for si in s]
-    total = sum(counts)
-    if total == 0:
+    p = inst.field.p
+    counts = np.array([max(0, bound - si + 1) for si in inst.shift])
+    if not counts.any():
         return []
-
-    if sigma == 0:
-        vectors = np.eye(total, dtype=np.int64)
-    else:
-        blocks = inst.jordan.blocks
-        offsets = inst.jordan.offsets
-        rows = np.zeros((total, sigma), dtype=np.int64)
-        at = 0
-        for i in range(m):
-            if counts[i] == 0:
-                continue
-            v = inst.E[i]
-            rows[at] = v
-            at += 1
-            for _ in range(1, counts[i]):
-                w = np.zeros(sigma, dtype=np.int64)
-                for (x, n), off in zip(blocks, offsets):
-                    w[off + 1 : off + n] = v[off : off + n - 1]
-                    w[off : off + n] = (w[off : off + n] + x * v[off : off + n]) % p
-                v = w
-                rows[at] = v
-                at += 1
-        vectors = linalg.left_nullspace(rows, p)
-
-    out = []
-    for vec in vectors:
-        prow: List[Poly] = [[] for _ in range(m)]
-        at = 0
-        for i in range(m):
-            coeffs = [int(vec[at + k]) for k in range(counts[i])]
-            prow[i] = poly_trim(coeffs)
-            at += counts[i]
-        out.append(prow)
-    return out
+    # its own column data: the eigenvalue mod p, and where blocks start
+    blocks = inst.jordan.blocks
+    xs = np.repeat([x % p for x, _ in blocks], [n for _, n in blocks]).astype(np.int64)
+    carry = np.ones(inst.sigma, dtype=np.int64)
+    carry[list(inst.jordan.offsets)] = 0
+    # powers[k, i] = X**k . E_i, one step on all rows of E per power
+    powers = np.empty((counts.max(), inst.m, inst.sigma), dtype=np.int64)
+    powers[0] = inst.E
+    for k in range(1, len(powers)):
+        v = powers[k - 1]
+        w = v * xs
+        w[:, 1:] += v[:, :-1] * carry[1:]
+        powers[k] = w % p
+    # the candidates X**k * e_i with k < counts[i], i-major, so a kernel
+    # vector holds entry i's coefficients, low degree first, in segment i
+    below = np.arange(len(powers)) < counts[:, None]
+    vectors = linalg.left_nullspace(powers.transpose(1, 0, 2)[below], p)
+    if not len(vectors):
+        return []
+    coeffs = np.zeros((len(vectors),) + below.shape, dtype=np.int64)
+    coeffs[:, below] = vectors
+    return PolyMat.from_coeffs(inst.field, coeffs).rows

@@ -6,20 +6,23 @@ rightmost entry reaching the s-degree.  On top of pivots this module
 provides the reduced / weak Popov / Popov predicates and the
 normalization from weak Popov form to the canonical Popov form.
 
-A matrix has two views, each built on first access: ``rows``, a grid of
-coefficient lists, and ``coeffs``, one packed int64 coefficient array.
-The normalization, the other predicates and verification read the
-rows; ``is_popov`` reads the entry lengths and the diagonal, from the
-array when there is one; the iterative engine builds the array, and the
-divide-and-conquer Mib reads it, through ``matmul``, the residual and
-the known-degree rebuild, so its bases stay packed from the base case
-to the rebuild.
+A matrix is one packed int64 coefficient array, ``coeffs``, with its
+entry lengths: the canonical s-Popov basis always fits in m*(sigma+1)
+coefficients, so one array holds every basis the library returns.  The
+grid of coefficient lists ``rows`` is a view derived from the array.
+``matmul``, the residual, the known-degree rebuild and the pivot
+predicates read the array and the lengths.  The normalization
+``weak_popov_to_popov`` and ``determinant`` work on the rows, because
+their intermediate degrees outgrow the input's (the normalization's with
+the spread of the shift, up to 2**70), so an array would have to be
+sized by them; the verification oracle reads the rows too, to stay
+independent of the engines.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +32,6 @@ from .ff_poly import (
     Degree,
     Modulus,
     Poly,
-    poly_deg,
     poly_divrem,
     poly_mul,
     poly_neg,
@@ -53,25 +55,22 @@ class PivotProfile(NamedTuple):
 class PolyMat:
     """A rows x cols matrix of polynomials over a common prime field.
 
-    Two views of one matrix, each derived on first access and cached:
+    Stored as ``coeffs``, an ``(nrows, ncols, length)`` int64 array of
+    canonical residues, ``coeffs[i, j, k]`` the coefficient of X**k in
+    entry (i, j), cut after the highest nonzero degree (``length`` is 0
+    for the zero matrix), and ``lengths``, the ``(nrows, ncols)`` array of
+    entry lengths (degree plus one, 0 for zero).  Both arrays are
+    read-only.  ``rows``, a list of rows of coefficient lists, low degree
+    first, trailing zeros trimmed, ``[]`` for zero, is derived from the
+    array on first access and cached.
 
-    * ``rows``: a list of rows of coefficient lists, low degree first,
-      trailing zeros trimmed, ``[]`` for zero;
-    * ``coeffs``: an ``(nrows, ncols, length)`` int64 array of canonical
-      residues, ``coeffs[i, j, k]`` the coefficient of X**k in entry
-      (i, j); ``length`` is one past the highest degree, 0 for the zero
-      matrix.
-
-    ``PolyMat(field, rows)`` stores rows of canonical residues, trimmed
-    (as ``from_rows`` makes them); ``from_coeffs`` stores an array.
-    ``lengths`` is the ``(nrows, ncols)`` array of entry lengths (degree
-    plus one, 0 for zero).  All views are shared, never copied, and are
-    read-only: the arrays are flagged so, and the rows must not be
-    mutated either, since the other views would not follow.  Equality
-    compares the field and the rows.
+    ``PolyMat(field, rows)`` packs rows of canonical residues, trimmed (as
+    ``from_rows`` makes them), and keeps them as the rows view, which
+    must not be mutated; ``from_coeffs`` stores an array.  Equality
+    compares the field and the array.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_coeffs", "_lengths")
+    __slots__ = ("field", "nrows", "ncols", "coeffs", "lengths", "_rows")
 
     def __init__(self, field: Modulus, rows: List[List[Poly]]):
         if not rows or not rows[0]:
@@ -79,12 +78,16 @@ class PolyMat:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("matrix rows have inconsistent lengths")
-        self.field = field
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self._rows: Optional[List[List[Poly]]] = rows
-        self._coeffs: Optional[np.ndarray] = None
-        self._lengths: Optional[np.ndarray] = None
+        lengths = np.array([[len(e) for e in row] for row in rows], dtype=np.int64)
+        coeffs = np.zeros((len(rows), ncols, int(lengths.max())), dtype=np.int64)
+        # the rows' coefficients in C order fill the slots below each length
+        coeffs[np.arange(coeffs.shape[2]) < lengths[:, :, None]] = np.fromiter(
+            chain.from_iterable(chain.from_iterable(rows)),
+            dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        self._store(field, coeffs, lengths)
+        self._rows = rows
 
     @classmethod
     def from_coeffs(cls, field: Modulus, coeffs: np.ndarray) -> "PolyMat":
@@ -103,51 +106,32 @@ class PolyMat:
             # one past the last nonzero coefficient of each entry
             last = n - np.argmax(nonzero[:, :, ::-1], axis=2)
             lengths = np.where(nonzero.any(2), last, 0)
-        coeffs = coeffs[:, :, : int(lengths.max())]
+        out = cls.__new__(cls)
+        out._store(field, coeffs[:, :, : int(lengths.max())], lengths)
+        out._rows = None
+        return out
+
+    def _store(self, field: Modulus, coeffs: np.ndarray, lengths: np.ndarray) -> None:
         coeffs.flags.writeable = False
         lengths.flags.writeable = False
-        out = cls.__new__(cls)
-        out.field = field
-        out.nrows, out.ncols = coeffs.shape[:2]
-        out._rows, out._coeffs, out._lengths = None, coeffs, lengths
-        return out
+        self.field = field
+        self.nrows, self.ncols = lengths.shape
+        self.coeffs = coeffs
+        self.lengths = lengths
 
     @property
     def rows(self) -> List[List[Poly]]:
         if self._rows is None:
             self._rows = [
                 [e[:n] for e, n in zip(row, lens)]
-                for row, lens in zip(self._coeffs.tolist(), self.lengths.tolist())
+                for row, lens in zip(self.coeffs.tolist(), self.lengths.tolist())
             ]
         return self._rows
-
-    @property
-    def lengths(self) -> np.ndarray:
-        if self._lengths is None:
-            lengths = np.array([[len(e) for e in row] for row in self._rows], dtype=np.int64)
-            lengths.flags.writeable = False
-            self._lengths = lengths
-        return self._lengths
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            lengths = self.lengths
-            coeffs = np.zeros((self.nrows, self.ncols, int(lengths.max())), dtype=np.int64)
-            # the rows' coefficients in C order fill the slots below each length
-            coeffs[np.arange(coeffs.shape[2]) < lengths[:, :, None]] = np.fromiter(
-                chain.from_iterable(chain.from_iterable(self._rows)),
-                dtype=np.int64,
-                count=int(lengths.sum()),
-            )
-            coeffs.flags.writeable = False
-            self._coeffs = coeffs
-        return self._coeffs
 
     def __eq__(self, other):
         if not isinstance(other, PolyMat):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return self.field == other.field and np.array_equal(self.coeffs, other.coeffs)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -156,11 +140,11 @@ class PolyMat:
 
     @classmethod
     def zero(cls, field: Modulus, nrows: int, ncols: int) -> "PolyMat":
-        return cls(field, [[[] for _ in range(ncols)] for _ in range(nrows)])
+        return cls.from_coeffs(field, np.zeros((nrows, ncols, 0), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: Modulus, n: int) -> "PolyMat":
-        return cls(field, [[[1] if i == j else [] for j in range(n)] for i in range(n)])
+        return cls.from_coeffs(field, np.eye(n, dtype=np.int64)[:, :, None])
 
     @classmethod
     def from_rows(cls, field: Modulus, rows) -> "PolyMat":
@@ -169,7 +153,7 @@ class PolyMat:
 
     def coefficient_count(self) -> int:
         """Number of field elements needed to store the matrix."""
-        return sum(len(e) for row in self.rows for e in row)
+        return int(self.lengths.sum())
 
 
 def _check_shift(ncols: int, s: Sequence[int]) -> Shift:
@@ -215,11 +199,18 @@ def pivot_profile(row, s: Sequence[int]) -> PivotProfile:
     if isinstance(row, PolyMat):
         if row.nrows != 1:
             raise ValueError("pivot profile is defined for a single row")
-        row = row.rows[0]
-    idx = _pivot_index(map(len, row), s)
+        lengths = row.lengths[0].tolist()
+    else:
+        lengths = [len(e) for e in row]
+    idx = _pivot_index(lengths, s)
     if idx < 0:
         raise ValueError("zero row has no s-degree")
-    return PivotProfile(idx, len(row[idx]) - 1)
+    return PivotProfile(idx, lengths[idx] - 1)
+
+
+def _pivots(m: PolyMat, s: Shift) -> List[int]:
+    """Each row's pivot index, -1 for a zero row."""
+    return [_pivot_index(lens, s) for lens in m.lengths.tolist()]
 
 
 def shifted_row_degree(m: PolyMat, s: Sequence[int]) -> List[int]:
@@ -244,7 +235,7 @@ def shifted_leading_matrix(m: PolyMat, s: Sequence[int]) -> List[List[int]]:
 def is_reduced(m: PolyMat, s: Sequence[int]) -> bool:
     """True iff the s-leading matrix has full row rank."""
     s = _check_shift(m.ncols, s)
-    if any(not any(e for e in row) for row in m.rows):
+    if not m.lengths.any(1).all():
         return False
     return linalg.rank_mod(shifted_leading_matrix(m, s), m.field.p) == m.nrows
 
@@ -254,23 +245,16 @@ def is_weak_popov(m: PolyMat, s: Sequence[int], diagonal: bool = False) -> bool:
     s = _check_shift(m.ncols, s)
     if m.nrows != m.ncols:
         raise ValueError("weak Popov form is defined for square matrices")
-    pivots = []
-    for i, row in enumerate(m.rows):
-        if not any(e for e in row):
-            return False
-        piv = pivot_profile(row, s).index
-        if diagonal and piv != i:
-            return False
-        pivots.append(piv)
+    pivots = _pivots(m, s)
+    if -1 in pivots or (diagonal and pivots != list(range(m.nrows))):
+        return False
     return len(set(pivots)) == len(pivots)
 
 
 def is_popov(m: PolyMat, s: Sequence[int]) -> bool:
     """Monic diagonal pivots, nonpivot column entries below the pivot degree.
 
-    Read off the entry lengths and the diagonal's leading coefficients,
-    taken from the packed array or, when the matrix was built from rows
-    and has none, from the rows.
+    Read off the entry lengths and the diagonal's leading coefficients.
     """
     s = _check_shift(m.ncols, s)
     if m.nrows != m.ncols:
@@ -278,30 +262,25 @@ def is_popov(m: PolyMat, s: Sequence[int]) -> bool:
     lengths = m.lengths
     diag = np.arange(m.nrows)
     dlen = lengths[diag, diag]
-    if not dlen.all():
-        return False
-    if m._coeffs is None:
-        leads = [m.rows[i][i][-1] for i in range(m.nrows)]
-    else:
-        leads = m.coeffs[diag, diag, dlen - 1].tolist()
-    if any(c != 1 for c in leads):
+    if not dlen.all() or (m.coeffs[diag, diag, dlen - 1] != 1).any():
         return False
     off = lengths.copy()
     off[diag, diag] = 0
     if (off >= dlen).any():
         return False
-    return all(_pivot_index(row, s) == i for i, row in enumerate(lengths.tolist()))
+    return _pivots(m, s) == diag.tolist()
 
 
 def pivot_degrees(m: PolyMat, s: Sequence[int]) -> Tuple[int, ...]:
     """Pivot degree per pivot index, for a matrix in s-weak Popov form."""
     s = _check_shift(m.ncols, s)
     out = [-1] * m.ncols
-    for row in m.rows:
-        piv = pivot_profile(row, s)
-        if out[piv.index] >= 0:
+    for lens, j in zip(m.lengths.tolist(), _pivots(m, s)):
+        if j < 0:
+            raise ValueError("zero row has no s-degree")
+        if out[j] >= 0:
             raise ValueError("duplicate pivot index: not in weak Popov form")
-        out[piv.index] = piv.degree
+        out[j] = lens[j] - 1
     if any(v < 0 for v in out):
         raise ValueError("missing pivot index: not in weak Popov form")
     return tuple(out)
@@ -352,9 +331,7 @@ def matmul(a: PolyMat, b: PolyMat) -> PolyMat:
 
 def column_degree(m: PolyMat) -> List[Degree]:
     """Per-column max degree; NEG_INF for a zero column."""
-    return [
-        max(poly_deg(m.rows[i][j]) for i in range(m.nrows)) for j in range(m.ncols)
-    ]
+    return [n - 1 if n else NEG_INF for n in m.lengths.max(0).tolist()]
 
 
 def _scaled_shifted_sub(row, other, c: int, k: int, p: int):
@@ -398,7 +375,9 @@ def weak_popov_to_popov(w: PolyMat, s: Sequence[int]) -> PolyMat:
     Rows are sorted by pivot index, pivots made monic, then each row is
     reduced against the pivot rows in increasing order of pivot degree
     plus shift; reductions against already-reduced rows strictly lower
-    the worst column violation, so the loop terminates.
+    the worst column violation, so the loop terminates.  It works on the
+    rows: the intermediate degrees grow with the spread of the shift,
+    which reaches 2**70, so a packed array would be sized by the shift.
     """
     s = _check_shift(w.ncols, s)
     if w.nrows != w.ncols:
@@ -443,7 +422,11 @@ def weak_popov_to_popov(w: PolyMat, s: Sequence[int]) -> PolyMat:
 
 
 def determinant(m: PolyMat) -> Poly:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    On the rows: the intermediate minors reach the sum of the rows'
+    degrees, far past any one entry's, and an array would be sized by it.
+    """
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
     field = m.field

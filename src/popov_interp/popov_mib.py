@@ -8,10 +8,11 @@ degrees of any shifted diagonal weak Popov basis are that degree).  It
 hands them to ``known_mindeg_mib``, which builds the canonical basis
 from scratch, once, at the root:
 
-* the columns are partially linearized in degree ceil(sigma/m) against an
-  expansion-compression gadget, so the expanded problem has at most 2m
-  rows and a balanced shift; its module rows ``X**(k*chunk) . E_i`` are
-  read off one strided Krylov array (``jordan_module.x_powers``);
+* the columns are partially linearized in degree max(1, ceil(sigma/m))
+  against an expansion-compression gadget, so the expanded problem has
+  at most 2m rows and a balanced shift, for any sigma; its module rows
+  ``X**(k*chunk) . E_i`` are read off one strided Krylov array
+  (``jordan_module.x_powers``);
 * a minimal (weak Popov) basis R of the expanded problem is computed by
   ``minimal_interpolation_basis`` with the negated expanded degrees as
   shift, translated to be nonnegative;
@@ -58,7 +59,6 @@ from .jordan_module import x_powers
 from .mib_engine import (
     InterpInstance,
     MinimalDegree,
-    iterative_mib,
     minimal_degree,
     minimal_interpolation_basis,
 )
@@ -83,14 +83,19 @@ class ExpansionPlan:
 
 
 def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
-    """Expansion plan for a degree profile; requires sigma >= m >= 1."""
-    if m < 1 or sigma < m:
-        raise ValueError("base case does not linearize")
+    """Expansion plan for a degree profile, in chunks of max(1, ceil(sigma/m)).
+
+    A minimal degree sums to at most sigma, so the plan has at most 2m
+    chunks: sum(mindeg)/chunk + m <= 2m for sigma >= m, and
+    sum(mindeg) + m <= sigma + m < 2m for chunks of 1 when sigma < m.
+    """
+    if m < 1:
+        raise ValueError("m must be at least 1")
     if len(mindeg) != m:
         raise ValueError("minimal degree length does not match m")
     if any(d < 0 for d in mindeg):
         raise ValueError("minimal degrees must be nonnegative")
-    chunk = -(-sigma // m)
+    chunk = max(1, -(-sigma // m))
     alpha = tuple(d // chunk + 1 for d in mindeg)
     deltabar: List[int] = []
     offsets: List[int] = []
@@ -160,10 +165,8 @@ def known_mindeg_mib(inst: InterpInstance, mindeg: MinimalDegree) -> PolyMat:
 def popov_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """The s-Popov interpolation basis and the s-minimal degree.
 
-    Up to m constraints this is ``iterative_mib``.  Otherwise the
-    minimal degree is fed to the known-degree rebuild.
+    The minimal degree is fed to the known-degree rebuild, for every
+    instance, sigma = 0 included.
     """
-    if inst.sigma <= inst.m:
-        return iterative_mib(inst)
     mindeg = minimal_degree(inst)
     return known_mindeg_mib(inst, mindeg), mindeg

@@ -131,6 +131,27 @@ def test_loader_rejects_non_integer_fields(tmp_path):
         assert main(["solve", str(path)]) == 1
 
 
+GS = {"p": 97, "num_y": 1, "exponents": [[0], [1]], "points": [[0, [1]]],
+      "multiplicities": [1], "weights": [0]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("solve", {"p": 97, "m": 2, "jordan": [[0, [1]]], "E": [[True], [1]], "shift": [0, 0]}),
+    ("solve", {"p": 97, "m": 2, "jordan": [[0, [1]]], "E": [[1], [1]], "shift": [0, True]}),
+    ("check", {"p": 97, "basis": [[[0, 1.5], []], [[96], [1]]], "delta": [1, 0]}),
+    ("order-basis", {"p": 97, "F": [[[2.5]], [[1]]], "orders": [2], "shift": [0, 0]}),
+    ("gs-interp", {**GS, "points": [[1.7, [1]]]}),
+    ("gs-interp", {**GS, "multiplicities": [2.0]}),
+], ids=["solve-E", "solve-shift", "check-basis", "order-basis", "gs-point", "gs-multiplicity"])
+def test_loaders_reject_floats_and_booleans(command, payload, instance_file, tmp_path, capsys):
+    # each would otherwise be read as an integer, truncated, or fail inside
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    args = [command, str(instance_file), str(path)] if command == "check" else [command, str(path)]
+    assert main(args) == 1
+    assert "is not an integer" in capsys.readouterr().err
+
+
 def test_loaders_reject_non_object_json(tmp_path, capsys):
     for k, text in enumerate(("[]", "null", '"hi"', "3")):
         path = tmp_path / f"t{k}.json"

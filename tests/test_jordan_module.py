@@ -32,9 +32,11 @@ def test_jordan_spec_validation():
 
 def test_jordan_spec_json_runs():
     # runs of consecutive blocks, written back as maximal runs
-    spec = JordanSpec.from_json({"groups": [[0, [1, 2]], [5, [1]], [0, [1]], [0, [3]]]}, 97)
+    spec = JordanSpec.from_json([[0, [1, 2]], [5, [1]], [0, [1]], [0, [3]]], 97)
     assert spec.blocks == ((0, 1), (0, 2), (5, 1), (0, 1), (0, 3))
-    assert spec.to_json() == {"groups": [[0, [1, 2]], [5, [1]], [0, [1, 3]]]}
+    assert spec.to_json() == [[0, [1, 2]], [5, [1]], [0, [1, 3]]]
+    assert JordanSpec.from_json(spec.to_json(), 97) == spec
+    assert JordanSpec.from_json({"groups": spec.to_json()}, 97).blocks == spec.blocks
 
 
 def test_standardize_examples():

@@ -14,6 +14,7 @@ from popov_interp import (
     iterative_mib,
     kernel_oracle,
     minimal_interpolation_basis,
+    popov_mib,
     weak_popov_to_popov,
 )
 from popov_interp.ff_poly import poly_deg
@@ -72,7 +73,7 @@ def test_completeness_kernel_dimension(rng):
             assert dim == want
 
 
-def test_kernel_oracle_examples():
+def test_kernel_oracle_examples(rng):
     assert len(kernel_oracle(INST1, 1)) == 3
     zero = InterpInstance(F, [[0], [0]], JordanSpec(((0, 1),)), (2, 5))
     # at bound min(s), only rows with s_i = min(s) contribute one candidate
@@ -80,6 +81,24 @@ def test_kernel_oracle_examples():
     # every oracle element really is an interpolant of s-degree <= bound
     for row in kernel_oracle(INST2, 3):
         assert interpolant_check(row, INST2)
+    # an eigenvalue far past int64 is reduced mod p before it multiplies
+    p = 2**31 - 1
+    jordan = JordanSpec(((5 + 2**40 * p, 4),))
+    big = InterpInstance(Modulus(p), [[1, 2, 3, 4], [5, 6, 7, 8]], jordan, (0, 0))
+    _, delta = popov_mib(big)
+    assert delta == (1, 3)
+    for bound in range(6):
+        want = sum(max(0, bound - d + 1) for d in delta)
+        assert len(kernel_oracle(big, bound)) == want
+    assert all(interpolant_check(row, big) for row in kernel_oracle(big, 3))
+    # rows are interpolants within the bound, on blocks of every kind
+    for _ in range(10):
+        p = rng.choice((3, 97, 2**31 - 1))
+        inst = random_instance(rng, p=p, sigma_range=(1, 10), max_eigs=2)
+        bound = max(inst.shift) + 2
+        for row in kernel_oracle(inst, bound):
+            assert interpolant_check(row, inst)
+            assert all(len(e) - 1 + si <= bound for e, si in zip(row, inst.shift))
 
 
 def test_minimal_interpolation_basis(rng):

@@ -78,9 +78,9 @@ def test_is_popov_examples():
     assert not is_popov(M([[X, []], [X, ONE]]), (0, 0))
     assert not is_popov(M([[[], []], [[], []]]), (0, 0))
     assert not is_popov(M([[[0, 2], []], [[96], ONE]]), (0, 0))  # diagonal not monic
-    # a matrix built from rows is read from its rows, and stays unpacked
+    # a matrix built from rows and the same matrix built from its array
     built = M([[X, []], [[96], ONE]])
-    assert is_popov(built, (0, 0)) and built._coeffs is None
+    assert is_popov(built, (0, 0))
     assert is_popov(PolyMat.from_coeffs(F, built.coeffs), (0, 0))
     assert not is_popov(PolyMat.from_coeffs(F, [[[0, 2], [0, 0]], [[96, 0], [1, 0]]]), (0, 0))
     # pivots on the diagonal, but column 0 has a second entry of degree 1

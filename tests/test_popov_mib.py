@@ -52,8 +52,15 @@ def test_build_expansion_row_count_bound():
         chunk = -(-sigma // 2)
         assert plan.alpha[0] == sigma // chunk + 1
         assert len(plan.deltabar) <= 4
-    with pytest.raises(ValueError, match="does not linearize"):
-        build_expansion((0, 0, 0), 3, 2)
+    # below m constraints the chunks have degree 1: sum(mindeg) + m rows,
+    # fewer than 2m, for every profile summing to at most sigma
+    for m in range(1, 7):
+        for sigma in range(m):
+            for first in range(sigma + 1):
+                mindeg = (first,) + (0,) * (m - 2) + (sigma - first,) if m > 1 else (sigma,)
+                plan = build_expansion(mindeg, m, sigma)
+                assert plan.chunk == 1
+                assert len(plan.deltabar) == sigma + m < 2 * m
 
 
 def test_known_mindeg_worked_example():
@@ -218,19 +225,20 @@ def test_popov_mib_split_records(rng, monkeypatch):
 
 
 def test_popov_mib_rebuilds_once_at_the_root(rng, monkeypatch):
+    # every instance, sigma <= m and sigma = 0 included, takes the
+    # known-degree rebuild once, and never the reference engine
     rebuilds = capture(monkeypatch, "known_mindeg_mib")
-    leaves = splits = 0
-    while leaves < 5 or splits < 15:
+    monkeypatch.setattr(MIB_ENGINE, "weak_popov_to_popov", None)
+    small = empty = large = 0
+    while small < 5 or empty < 3 or large < 15:
         inst = random_instance(rng, sigma_range=(0, 48), m_range=(1, 4))
         rebuilds.clear()
         basis, delta = popov_mib(inst)
-        if inst.sigma <= inst.m:
-            assert rebuilds == []
-            leaves += 1
-        else:
-            [((node, mindeg), out)] = rebuilds
-            assert node is inst and mindeg == delta and out is basis
-            splits += 1
+        [((node, mindeg), out)] = rebuilds
+        assert node is inst and mindeg == delta and out is basis
+        empty += inst.sigma == 0
+        small += 0 < inst.sigma <= inst.m
+        large += inst.sigma > inst.m
 
 
 def test_popov_mib_matches_iterative(rng):

@@ -65,6 +65,19 @@ def _check_integers(value, path: str) -> None:
             _check_integers(v, path)
 
 
+def _check_residues(value, p: int, what: str) -> None:
+    """Reject every entry of a nested list that is not a residue in [0, p).
+
+    E, basis and F coefficients are residues; the library would reduce
+    any other integer silently, so a 98 at p = 97 would be read as 1.
+    """
+    if isinstance(value, list):
+        for v in value:
+            _check_residues(v, p, what)
+    elif not isinstance(value, int) or not 0 <= value < p:
+        raise ValueError(f"{what} entries must be residues in [0, p)")
+
+
 def _field_of(data: dict) -> Modulus:
     try:
         return Modulus(data["p"])
@@ -77,9 +90,7 @@ def load_instance(path: str) -> InterpInstance:
     data = _load_json(path)
     field = _field_of(data)
     try:
-        for row in data["E"]:
-            if any(not isinstance(v, int) or not 0 <= v < field.p for v in row):
-                raise ValueError("E entries must be residues in [0, p)")
+        _check_residues(data["E"], field.p, "E")
         if any(not isinstance(v, int) for v in data["shift"]):
             raise ValueError("shift entries must be integers")
         jordan = JordanSpec.from_json(data["jordan"], field.p)
@@ -139,6 +150,7 @@ def cmd_check(args) -> int:
     inst = load_instance(args.instance)
     data = _load_json(args.basis)
     try:
+        _check_residues(data["basis"], inst.field.p, "basis")
         basis = PolyMat.from_rows(inst.field, data["basis"])
         delta = [int(v) for v in data["delta"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -245,6 +257,7 @@ def load_approximant(path: str) -> ApproximantProblem:
     data = _load_json(path)
     field = _field_of(data)
     try:
+        _check_residues(data["F"], field.p, "F")
         fmat = PolyMat.from_rows(field, data["F"])
         return ApproximantProblem(field, fmat, tuple(data["orders"]), tuple(data["shift"]))
     except (KeyError, TypeError, ValueError) as exc:

@@ -17,8 +17,9 @@ Residuals ``P . E`` of a polynomial matrix against a module matrix use
 stacked Krylov rows ``X**k . E_j``, one modular matrix product.  The
 direct path, on lists of Python integers, identifies each block with a
 truncated power series and computes ``p(X + x_j) * f_j  mod  X**(size_j)``;
-it shares no code with the residual and serves as the independent
-verification oracle.
+it shares no code with the residual or with ``mib_engine.interpolant_check``
+(which multiplies by its own table of rows ``X**k . E_j``), and is the
+list reference both are tested against.
 """
 
 from __future__ import annotations

@@ -36,9 +36,7 @@ node costs a residual, a product and their numpy call overhead; the
 shift bump reproduces the elimination's s-degrees, so the output is the
 same for any bound.  The halves and the residual are column slices of
 ``(m, sigma)`` int64 arrays of residues, like ``InterpInstance.E``, and
-keep the Jordan blocks in constraint order.  Only the verification path
-and the CLI read E as lists (``InterpInstance.module_rows``, converted
-once per instance).
+keep the Jordan blocks in constraint order.
 
 ``minimal_degree`` is the same recursion restricted to what the paper's
 PopovMib needs first, the degrees: its leaves eliminate on E alone, and
@@ -47,22 +45,33 @@ residual needs, and recurses on the right half, so the right spine
 builds no basis and no product is formed at its nodes.  Both recursions
 split, push the residual and bump the shift through ``solve_left``.
 
-``kernel_oracle`` ignores all of that and sets up the degree-bounded
-interpolants as a plain kernel computation over the base field; it is the
+``interpolant_check`` verifies a row from the definition of the module
+action, ``p . E = sum_k p_k (X**k . E)``: it gathers the rows
+``X**k . E_j`` that the row's coefficients meet from the instance's
+``PowerTable`` and takes one exact modular product.  The table steps E
+with its own per-column Jordan data, not the engines' ``column_action``,
+and grows column j only as far as the longest entry checked in column j.
+``jordan_module.residual_direct``, on lists, is the reference the tests
+hold the check to.
+
+``kernel_oracle`` ignores the engines and sets up the degree-bounded
+interpolants as a plain kernel computation over the base field, on the
+candidate vectors ``X**k . E_i`` of the same table; it is the
 independent certificate used by the acceptance suite.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import linalg
 from .ff_poly import Modulus, Poly
-from .jordan_module import JordanSpec, column_action, residual, residual_direct
+from .jordan_module import JordanSpec, column_action, residual
 from .polymat import PolyMat, matmul, weak_popov_to_popov
 
 MinimalDegree = Tuple[int, ...]
@@ -116,18 +125,112 @@ class InterpInstance:
         return self.jordan.total
 
     @cached_property
-    def module_rows(self) -> List[List[int]]:
-        """E as rows of Python integers, for the list-based verification path."""
-        return self.E.tolist()
+    def powers(self) -> "PowerTable":
+        """The rows ``X**k . E_j`` that verification and the oracle read."""
+        return PowerTable(self)
+
+
+class PowerTable:
+    """The rows ``X**k . E_j`` of an instance, per column j, grown on demand.
+
+    Column j is an ``(n_j, sigma)`` int64 array of residues whose row k is
+    ``X**k . E_j``; it starts as ``E_j`` and grows only to the longest
+    length asked of it.  The steps use the table's own column data, each
+    eigenvalue reduced mod p and a flag that is False where a block
+    starts: X maps v to ``x*v + v shifted`` with no carry into a block
+    start.
+    """
+
+    def __init__(self, inst: InterpInstance):
+        p = self.p = inst.field.p
+        blocks = inst.jordan.blocks
+        xs = np.repeat([x % p for x, _ in blocks], [n for _, n in blocks])
+        self.xs = xs.astype(np.int64)
+        self.carry = np.ones(inst.sigma, dtype=bool)
+        self.carry[list(inst.jordan.offsets)] = False
+        self.columns = [inst.E[j : j + 1] for j in range(inst.m)]
+
+    def gather(self, lengths: Sequence[int]) -> np.ndarray:
+        """The rows ``X**k . E_j`` for k < lengths[j], j-major, as one
+        ``(sum(lengths), sigma)`` array."""
+        short = {j: n for j, n in enumerate(lengths) if n > len(self.columns[j])}
+        if short:
+            self._grow(short)
+        return np.concatenate([c[:n] for c, n in zip(self.columns, lengths)])
+
+    def _grow(self, want: Dict[int, int]) -> None:
+        """Extend column j to want[j] rows, stepping the columns together.
+
+        The columns run in order of steps left, most first, so those that
+        finish drop off the end of the stacked rows; each run between two
+        finishes is stepped into one buffer, so nothing is stepped past
+        its column's length.
+        """
+        p, xs, carry, cols = self.p, self.xs, self.carry, self.columns
+        left = {j: n - len(cols[j]) for j, n in want.items()}
+        order = sorted(left, key=left.get, reverse=True)
+        parts = {j: [cols[j]] for j in order}
+        v = np.stack([cols[j][-1] for j in order])
+        done = 0
+        while order:
+            run = left[order[-1]] - done
+            buf = np.empty((run,) + v.shape, dtype=np.int64)
+            for w in buf:
+                # residues below p < 2**31: x*v[t] + v[t-1] < 2**62 + 2**31
+                np.multiply(v, xs, out=w)
+                np.add(w[:, 1:], v[:, :-1], out=w[:, 1:], where=carry[1:])
+                v = np.remainder(w, p, out=w)
+            for i, j in enumerate(order):
+                parts[j].append(buf[:, i])
+            done += run
+            while order and left[order[-1]] == done:
+                j = order.pop()
+                cols[j] = np.concatenate(parts.pop(j))
+            v = v[: len(order)]
+
+
+# most coefficients one product of interpolant_check sums before a remainder
+_CHUNK = 1 << 16
 
 
 def interpolant_check(row: Sequence[Poly], inst: InterpInstance) -> bool:
-    """True iff row . E vanishes under the module action."""
+    """True iff row . E vanishes under the module action.
+
+    Computed from the definition ``p . E = sum_k p_k (X**k . E)``: the
+    row's coefficients, read mod p, entry j low degree first, times the
+    rows ``X**k . E_j`` gathered from ``inst.powers``, one modular
+    product.  Entries may be untrimmed, longer than sigma, negative or
+    beyond int64.
+
+    The product is exact in int64.  Each coefficient c < p < 2**31 is
+    split as ``c = h * 2**16 + l`` with l < 2**16 and h < 2**15, and each
+    half is multiplied by table residues below 2**31, so every term is
+    below 2**47; a chunk sums at most 2**16 = ``_CHUNK`` terms, so its
+    sum stays below 2**63.  Both sums are reduced mod p and recombined
+    as ``l_sum + (h_sum * 2**16 mod p)``, below 2**32.  For p <= 2**16
+    the coefficient is its own low half and the high half is dropped.  ``jordan_module.residual_direct``, the list computation of
+    the same action, is the reference the tests compare this with.
+    """
     if len(row) != inst.m:
         raise ValueError("row length does not match the instance")
-    rmat = PolyMat(inst.field, [list(row)])
-    res = residual_direct(rmat, inst.module_rows, inst.jordan)
-    return not any(res[0])
+    p = inst.field.p
+    lengths = [len(e) for e in row]
+    try:
+        c = np.fromiter(itertools.chain.from_iterable(row), np.int64, sum(lengths))
+    except OverflowError:
+        # beyond int64: reduce each coefficient first
+        c = np.array([v % p for e in row for v in e], dtype=np.int64)
+    c %= p
+    rows = inst.powers.gather(lengths)
+    halves = np.stack([c & 0xFFFF, c >> 16]) if p > 1 << 16 else c[None]
+    acc = np.zeros(rows.shape[1], dtype=np.int64)
+    for lo in range(0, len(c), _CHUNK):
+        part = np.einsum("hk,kt->ht", halves[:, lo : lo + _CHUNK], rows[lo : lo + _CHUNK])
+        part %= p
+        if len(part) > 1:
+            part[0] += (part[1] << 16) % p
+        acc = (acc + part[0]) % p
+    return not acc.any()
 
 
 def _eliminate(aug: np.ndarray, jordan: JordanSpec, p: int, shift: Sequence[int]):
@@ -323,35 +426,19 @@ def kernel_oracle(inst: InterpInstance, bound: int) -> List[List[Poly]]:
     """Basis of the space of interpolants with s-degree at most bound.
 
     Enumerates the monomial candidates X**k * e_i with k + s_i <= bound,
-    maps each to its residual vector X**k . E_i, and extracts the left
-    kernel by Gaussian elimination over the base field.  The vectors come
-    from one X step per power on all rows of E at once, with the oracle's
-    own per-column eigenvalues (reduced mod p first) and block starts.
-    Completely independent of the basis engines.
+    maps each to its residual vector X**k . E_i, read from the instance's
+    ``PowerTable``, and extracts the left kernel by Gaussian elimination
+    over the base field.  Completely independent of the basis engines.
     """
-    p = inst.field.p
-    counts = np.array([max(0, bound - si + 1) for si in inst.shift])
-    if not counts.any():
+    counts = [max(0, bound - si + 1) for si in inst.shift]
+    if not any(counts):
         return []
-    # its own column data: the eigenvalue mod p, and where blocks start
-    blocks = inst.jordan.blocks
-    xs = np.repeat([x % p for x, _ in blocks], [n for _, n in blocks]).astype(np.int64)
-    carry = np.ones(inst.sigma, dtype=np.int64)
-    carry[list(inst.jordan.offsets)] = 0
-    # powers[k, i] = X**k . E_i, one step on all rows of E per power
-    powers = np.empty((counts.max(), inst.m, inst.sigma), dtype=np.int64)
-    powers[0] = inst.E
-    for k in range(1, len(powers)):
-        v = powers[k - 1]
-        w = v * xs
-        w[:, 1:] += v[:, :-1] * carry[1:]
-        powers[k] = w % p
-    # the candidates X**k * e_i with k < counts[i], i-major, so a kernel
-    # vector holds entry i's coefficients, low degree first, in segment i
-    below = np.arange(len(powers)) < counts[:, None]
-    vectors = linalg.left_nullspace(powers.transpose(1, 0, 2)[below], p)
+    # the candidates i-major, so a kernel vector holds entry i's
+    # coefficients, low degree first, in segment i
+    vectors = linalg.left_nullspace(inst.powers.gather(counts), inst.field.p)
     if not len(vectors):
         return []
+    below = np.arange(max(counts)) < np.array(counts)[:, None]
     coeffs = np.zeros((len(vectors),) + below.shape, dtype=np.int64)
     coeffs[:, below] = vectors
     return PolyMat.from_coeffs(inst.field, coeffs).rows

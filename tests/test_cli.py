@@ -152,6 +152,19 @@ def test_loaders_reject_floats_and_booleans(command, payload, instance_file, tmp
     assert "is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, payload", [
+    # 98 = 1 + 97: reduced silently, the basis would pass every check
+    ("check", {"p": 97, "basis": [[[0, 98], []], [[96], [1]]], "delta": [1, 0]}),
+    ("order-basis", {"p": 97, "F": [[[98]], [[1]]], "orders": [2], "shift": [0, 0]}),
+], ids=["check-basis", "order-basis-F"])
+def test_loaders_reject_non_residues(command, payload, instance_file, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    args = [command, str(instance_file), str(path)] if command == "check" else [command, str(path)]
+    assert main(args) == 1
+    assert "must be residues in [0, p)" in capsys.readouterr().err
+
+
 def test_loaders_reject_non_object_json(tmp_path, capsys):
     for k, text in enumerate(("[]", "null", '"hi"', "3")):
         path = tmp_path / f"t{k}.json"

@@ -193,8 +193,16 @@ def column_action(jordan: JordanSpec, p: int) -> Tuple[np.ndarray, np.ndarray]:
     return xs.astype(np.int64), carry
 
 
-def x_powers(rows, jordan: JordanSpec, field: Modulus, d: int, stride: int = 1) -> np.ndarray:
-    """The int64 array K with K[k, j] = X**(k*stride) . rows[j], 0 <= k <= d.
+def _x_step(v: np.ndarray, xs: np.ndarray, carry: np.ndarray, p: int) -> np.ndarray:
+    """X . v for a stack of residue rows v, as a new array."""
+    # p < 2**31, so x*v[t] + v[t-1] stays below 2**62 + 2**31
+    w = v * xs
+    w[:, 1:] += v[:, :-1] * carry[1:]
+    return np.remainder(w, p, out=w)
+
+
+def x_powers(rows, jordan: JordanSpec, field: Modulus, d: int) -> np.ndarray:
+    """The int64 array K with K[k, j] = X**k . rows[j], 0 <= k <= d.
 
     The rows are residues, read as they are.
     """
@@ -205,12 +213,35 @@ def x_powers(rows, jordan: JordanSpec, field: Modulus, d: int, stride: int = 1) 
     out = np.empty((d + 1,) + v.shape, dtype=np.int64)
     out[0] = v
     for k in range(1, d + 1):
+        v = out[k] = _x_step(v, xs, carry, p)
+    return out
+
+
+def strided_powers(
+    rows: np.ndarray, jordan: JordanSpec, field: Modulus, counts: Sequence[int], stride: int
+) -> np.ndarray:
+    """The rows ``X**(k*stride) . rows[j]`` for k < counts[j], j-major, as
+    one ``(sum(counts), sigma)`` int64 array.
+
+    The rows are stepped together in order of counts, most first, so
+    that those that are done drop off the end of the stack; no row is
+    stepped past its last power.  The rows are residues, read as they are.
+    """
+    p = field.p
+    xs, carry = column_action(jordan, p)
+    order = sorted(range(len(counts)), key=lambda j: -counts[j])
+    starts = np.cumsum((0,) + tuple(counts))[order]
+    left = np.array(counts)[order]
+    out = np.empty((int(sum(counts)), jordan.total), dtype=np.int64)
+    v = np.asarray(rows, dtype=np.int64)[order]
+    live = np.count_nonzero(left)
+    out[starts[:live]] = v[:live]
+    for k in range(1, int(left.max(initial=0))):
+        live = np.count_nonzero(left > k)
+        v = v[:live]
         for _ in range(stride):
-            # p < 2**31, so x*v[t] + v[t-1] stays below 2**62 + 2**31
-            w = v * xs
-            w[:, 1:] += v[:, :-1] * carry[1:]
-            v = np.remainder(w, p, out=w)
-        out[k] = v
+            v = _x_step(v, xs, carry, p)
+        out[starts[:live] + k] = v
     return out
 
 

@@ -65,7 +65,8 @@ class PolyMat:
     array on first access and cached.
 
     ``PolyMat(field, rows)`` packs rows of canonical residues, trimmed (as
-    ``from_rows`` makes them), and keeps them as the rows view, which
+    ``from_rows`` makes them), raising ValueError on a coefficient outside
+    [0, p) or an entry ending in 0, and keeps them as the rows view, which
     must not be mutated; ``from_coeffs`` stores an array.  Equality
     compares the field and the array.
     """
@@ -79,13 +80,24 @@ class PolyMat:
         if any(len(r) != ncols for r in rows):
             raise ValueError("matrix rows have inconsistent lengths")
         lengths = np.array([[len(e) for e in row] for row in rows], dtype=np.int64)
+        try:
+            flat = np.fromiter(
+                chain.from_iterable(chain.from_iterable(rows)),
+                dtype=np.int64,
+                count=int(lengths.sum()),
+            )
+        except OverflowError:
+            raise ValueError("coefficients must be residues mod p") from None
+        if len(flat):
+            if flat.min() < 0 or flat.max() >= field.p:
+                raise ValueError("coefficients must be residues mod p")
+            # the leading coefficient of each nonzero entry ends its run
+            ends = np.cumsum(lengths.ravel())
+            if not flat[ends[lengths.ravel() > 0] - 1].all():
+                raise ValueError("entries must have no trailing zero")
         coeffs = np.zeros((len(rows), ncols, int(lengths.max())), dtype=np.int64)
         # the rows' coefficients in C order fill the slots below each length
-        coeffs[np.arange(coeffs.shape[2]) < lengths[:, :, None]] = np.fromiter(
-            chain.from_iterable(chain.from_iterable(rows)),
-            dtype=np.int64,
-            count=int(lengths.sum()),
-        )
+        coeffs[np.arange(coeffs.shape[2]) < lengths[:, :, None]] = flat
         self._store(field, coeffs, lengths)
         self._rows = rows
 

@@ -8,11 +8,15 @@ degrees of any shifted diagonal weak Popov basis are that degree).  It
 hands them to ``known_mindeg_mib``, which builds the canonical basis
 from scratch, once, at the root:
 
-* the columns are partially linearized in degree max(1, ceil(sigma/m))
-  against an expansion-compression gadget, so the expanded problem has
-  at most 2m rows and a balanced shift, for any sigma; its module rows
-  ``X**(k*chunk) . E_i`` are read off one strided Krylov array
-  (``jordan_module.x_powers``);
+* above the Mib's base case, sigma > ``mib_engine.LEAF * m``, the
+  columns are partially linearized in degree ceil(sigma/m) against an
+  expansion-compression gadget, so the expanded problem has at most 2m
+  rows and a balanced shift, which is what keeps the Mib's recursion
+  within the paper's cost bound for any shift; its module rows
+  ``X**(k*chunk) . E_i`` are stepped for each column only as far as
+  its chunks go (``jordan_module.strided_powers``).  Up to that bound
+  the Mib is one elimination, whose cost a balanced shift does not
+  lower, so each column stays one chunk and the Mib runs on E itself;
 * a minimal (weak Popov) basis R of the expanded problem is computed by
   ``minimal_interpolation_basis`` with the negated expanded degrees as
   shift, translated to be nonnegative;
@@ -54,8 +58,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from . import linalg
-from .jordan_module import x_powers
+from . import linalg, mib_engine
+from .jordan_module import strided_powers
 from .mib_engine import (
     InterpInstance,
     MinimalDegree,
@@ -83,11 +87,19 @@ class ExpansionPlan:
 
 
 def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
-    """Expansion plan for a degree profile, in chunks of max(1, ceil(sigma/m)).
+    """Expansion plan for a degree profile of an instance with m rows and
+    sigma constraints.
 
-    A minimal degree sums to at most sigma, so the plan has at most 2m
-    chunks: sum(mindeg)/chunk + m <= 2m for sigma >= m, and
-    sum(mindeg) + m <= sigma + m < 2m for chunks of 1 when sigma < m.
+    Linearization only serves the rebuild's Mib when it recurses: it
+    balances the shift so that the paper's cost bound holds for any
+    degree profile.  So the columns are linearized only above the Mib's
+    base case, sigma > ``LEAF * m``, in chunks of ceil(sigma/m).  A
+    minimal degree sums to at most sigma, so that plan has at most 2m
+    chunks: sum(mindeg)/chunk + m <= 2m.  Up to ``LEAF * m`` the Mib
+    runs one elimination, which a balanced shift does not speed up and
+    up to m more rows slow down, so every column is one chunk of
+    max(mindeg) + 1: the rebuild's Mib runs on the instance's own m
+    rows under the shift max(mindeg) + 1 - mindeg.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -95,7 +107,7 @@ def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
         raise ValueError("minimal degree length does not match m")
     if any(d < 0 for d in mindeg):
         raise ValueError("minimal degrees must be nonnegative")
-    chunk = max(1, -(-sigma // m))
+    chunk = max(mindeg) + 1 if sigma <= mib_engine.LEAF * m else -(-sigma // m)
     alpha = tuple(d // chunk + 1 for d in mindeg)
     deltabar: List[int] = []
     offsets: List[int] = []
@@ -124,8 +136,7 @@ def known_mindeg_mib(inst: InterpInstance, mindeg: MinimalDegree) -> PolyMat:
     mindeg = tuple(int(d) for d in mindeg)
     plan = build_expansion(mindeg, m, inst.sigma)
 
-    krylov = x_powers(inst.E, inst.jordan, field, max(plan.alpha) - 1, plan.chunk)
-    ebar = np.concatenate([krylov[:a, i] for i, a in enumerate(plan.alpha)])
+    ebar = strided_powers(inst.E, inst.jordan, field, plan.alpha, plan.chunk)
     engine_shift = tuple(plan.chunk - d for d in plan.deltabar)
     rinst = InterpInstance(field, ebar, inst.jordan, engine_shift)
     rbasis, _ = minimal_interpolation_basis(rinst)

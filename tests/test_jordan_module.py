@@ -10,6 +10,7 @@ from popov_interp.jordan_module import (
     apply_poly_row,
     residual,
     residual_direct,
+    strided_powers,
     x_powers,
 )
 
@@ -235,10 +236,30 @@ def test_x_powers_matches_dense_jordan(rng):
             spec = JordanSpec(tuple(_random_blocks(rng, sigma, p)))
             rows = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
             d = rng.randint(0, 2 * sigma)
-            stride = rng.randint(1, 3)
-            krylov = x_powers(rows, spec, field, d, stride)
+            krylov = x_powers(rows, spec, field, d)
             assert krylov.shape == (d + 1, m, sigma)
             for k in range(d + 1):
-                monomial = [0] * (k * stride) + [1]  # X**(k*stride)
+                monomial = [0] * k + [1]  # X**k
                 for j in range(m):
                     assert krylov[k, j].tolist() == _apply_via_matrix(monomial, rows[j], spec, p)
+
+
+def test_strided_powers_matches_dense_jordan(rng):
+    # each row to its own count, zero included, in any order of counts
+    for p in PRIMES:
+        field = Modulus(p)
+        for _ in range(10):
+            sigma = rng.randint(0, 10)
+            m = rng.randint(1, 4)
+            spec = JordanSpec(tuple(_random_blocks(rng, sigma, p)))
+            rows = np.array([[rng.randrange(p) for _ in range(sigma)] for _ in range(m)])
+            counts = [rng.randint(0, 4) for _ in range(m)]
+            stride = rng.randint(1, 3)
+            out = strided_powers(rows.reshape(m, sigma), spec, field, counts, stride)
+            want = [
+                _apply_via_matrix([0] * (k * stride) + [1], rows[j].tolist(), spec, p)
+                for j in range(m)
+                for k in range(counts[j])
+            ]
+            assert out.shape == (sum(counts), sigma)
+            assert out.tolist() == want

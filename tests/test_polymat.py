@@ -288,6 +288,26 @@ def test_packed_view_round_trip(rng):
     assert PolyMat.from_coeffs(F, zero.coeffs) == zero
 
 
+def test_constructor_rejects_untrimmed_rows():
+    # a padded 0 would be read as the leading coefficient: is_popov
+    # misread [[1, 0]] before the constructor checked its rows
+    with pytest.raises(ValueError, match="trailing zero"):
+        PolyMat(F, [[[1, 0]]])
+    assert is_popov(PolyMat.from_rows(F, [[[1, 0]]]), (0,))
+    assert PolyMat(F, [[[1], []]]).rows == [[[1], []]]
+    with pytest.raises(ValueError, match="trailing zero"):
+        PolyMat(F, [[[1], []], [[], [0, 3, 0]]])
+
+
+def test_constructor_rejects_non_residues():
+    for bad in (97, -1, 2**70, -(2**70)):
+        with pytest.raises(ValueError, match="residues"):
+            PolyMat(F, [[[1], [bad, 1]]])
+    # the rows view of any matrix rebuilds it, at the largest residue too
+    top = PolyMat(F, [[[96], [0, 96]]])
+    assert PolyMat(F, top.rows) == top == PolyMat.from_coeffs(F, top.coeffs)
+
+
 def test_weak_popov_row_degree_det_identity(rng):
     # sum of s-row degrees = deg det + sum of shifts, for weak Popov matrices
     from popov_interp import iterative_weak_popov

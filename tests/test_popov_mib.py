@@ -31,10 +31,12 @@ F = Modulus(97)
 
 
 def test_build_expansion_worked_example():
-    plan = build_expansion((3, 1), 2, 4)
-    assert plan.chunk == 2
+    # sigma = 66 > LEAF * m = 64: chunks of ceil(66/2) = 33
+    assert 66 > MIB_ENGINE.LEAF * 2
+    plan = build_expansion((50, 16), 2, 66)
+    assert plan.chunk == 33
     assert plan.alpha == (2, 1)
-    assert plan.deltabar == (2, 1, 1)
+    assert plan.deltabar == (33, 17, 16)
     assert plan.group_offsets == (0, 2)
 
 
@@ -46,21 +48,62 @@ def test_build_expansion_zero_profile():
 
 
 def test_build_expansion_row_count_bound():
-    # a fully unbalanced profile still expands to at most 2m rows
-    for sigma in range(2, 65):
+    # above the Mib's base case a fully unbalanced profile still expands
+    # to at most 2m rows
+    leaf = MIB_ENGINE.LEAF
+    for sigma in range(2 * leaf + 1, 2 * leaf + 65):
         plan = build_expansion((sigma, 0), 2, sigma)
         chunk = -(-sigma // 2)
+        assert plan.chunk == chunk
         assert plan.alpha[0] == sigma // chunk + 1
         assert len(plan.deltabar) <= 4
-    # below m constraints the chunks have degree 1: sum(mindeg) + m rows,
-    # fewer than 2m, for every profile summing to at most sigma
+    # in chunks of ceil(sigma/m), sum(mindeg)/chunk + m <= 2m rows for
+    # every profile summing to at most sigma
     for m in range(1, 7):
-        for sigma in range(m):
+        for sigma in range(leaf * m + 1, leaf * m + m + 2):
             for first in range(sigma + 1):
                 mindeg = (first,) + (0,) * (m - 2) + (sigma - first,) if m > 1 else (sigma,)
                 plan = build_expansion(mindeg, m, sigma)
-                assert plan.chunk == 1
-                assert len(plan.deltabar) == sigma + m < 2 * m
+                assert plan.chunk == -(-sigma // m)
+                assert len(plan.deltabar) <= 2 * m
+
+
+def test_build_expansion_one_chunk_at_a_leaf(rng):
+    # up to LEAF * m constraints every column is one chunk of max(mindeg) + 1
+    for m in range(1, 7):
+        for sigma in (0, m - 1, m, rng.randint(m, MIB_ENGINE.LEAF * m), MIB_ENGINE.LEAF * m):
+            for _ in range(5):
+                cuts = sorted(rng.randint(0, sigma) for _ in range(m - 1))
+                mindeg = tuple(b - a for a, b in zip([0] + cuts, cuts + [sigma]))
+                plan = build_expansion(mindeg, m, sigma)
+                assert plan.chunk == max(mindeg) + 1
+                assert plan.alpha == (1,) * m
+                assert plan.deltabar == mindeg
+                assert plan.group_offsets == tuple(range(m))
+
+
+def test_rebuild_linearizes_only_past_the_leaf(rng, monkeypatch):
+    # at sigma = LEAF * m the rebuild's Mib runs on the instance's own
+    # rows; one constraint more, on one row per expansion chunk
+    mibs = capture(monkeypatch, "minimal_interpolation_basis")
+    expanded = 0
+    for m in (1, 2, 3, 4):
+        for extra in (0, 1):
+            for _ in range(3):
+                sigma = MIB_ENGINE.LEAF * m + extra
+                inst = random_instance(rng, sigma_range=(sigma, sigma), m_range=(m, m))
+                popov, delta = iterative_mib(inst)
+                mibs.clear()
+                assert known_mindeg_mib(inst, delta) == popov
+                [((rinst,), _)] = mibs
+                assert rinst.jordan is inst.jordan
+                if extra:
+                    alpha = build_expansion(delta, m, sigma).alpha
+                    assert rinst.m == sum(alpha)
+                    expanded += sum(alpha) > m
+                else:
+                    assert rinst.m == m and (rinst.E == inst.E).all()
+    assert expanded >= 6
 
 
 def test_known_mindeg_worked_example():
@@ -158,8 +201,17 @@ def _compress(row, plan):
 
 def test_normalize_linearized_matches_direct(rng, monkeypatch):
     mibs = capture(monkeypatch, "minimal_interpolation_basis")
-    for _ in range(25):
-        inst = random_instance(rng, sigma_range=(2, 24), m_range=(2, 4))
+    linearized = compressed = 0
+    for i in range(45):
+        if i < 25:
+            # leaves: one chunk per column
+            inst = random_instance(rng, sigma_range=(2, 24), m_range=(2, 4))
+        else:
+            # past the Mib's base case, so the columns are linearized
+            m = rng.randint(1, 2)
+            leaf = MIB_ENGINE.LEAF * m
+            inst = random_instance(rng, sigma_range=(leaf + 1, leaf + 40), m_range=(m, m))
+            linearized += 1
         if inst.sigma < inst.m:
             continue
         _, delta = iterative_mib(inst)
@@ -167,9 +219,11 @@ def test_normalize_linearized_matches_direct(rng, monkeypatch):
         popov = known_mindeg_mib(inst, delta)
         [(_, (rbasis, _))] = mibs
         plan = build_expansion(delta, inst.m, inst.sigma)
+        compressed += len(plan.deltabar) > inst.m
         direct = _normalize_direct(inv_mod(leading_at(rbasis, plan.deltabar), 97), rbasis)
         last = [off + a - 1 for off, a in zip(plan.group_offsets, plan.alpha)]
         assert [_compress(direct.rows[t], plan) for t in last] == popov.rows
+    assert linearized == 20 and compressed >= 6
 
 
 def test_popov_mib_trivial_and_small():

@@ -15,12 +15,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from .ff_poly import Modulus, Poly, poly_deg, poly_trim, taylor_shift
+from .ff_poly import Modulus, Poly, poly_deg, poly_trim, taylor_prefix
 from .jordan_module import standardize
 from .mib_engine import InterpInstance, MinimalDegree
 from .polymat import PolyMat
@@ -96,53 +97,30 @@ class GSProblem:
         return len(self.exponents)
 
 
-def _triangular_support(mu: int, r: int) -> set:
-    out = set()
-
-    def rec(prefix, left):
-        if len(prefix) == r + 1:
-            out.add(tuple(prefix))
-            return
-        for v in range(left + 1):
-            rec(prefix + [v], left - v)
-
-    for a in range(mu):
-        rec([a], mu - 1 - a)
-    return out
+def _derivative_indices(mu: int, r: int) -> List[Tuple[int, ...]]:
+    """All b in N**r with |b| < mu, graded lexicographic."""
+    box = itertools.product(range(mu), repeat=r)
+    return sorted((b for b in box if sum(b) < mu), key=lambda b: (sum(b), b))
 
 
 def _multiplicity_of(support, r: int) -> int:
-    """The integer mu of a triangular support, or an error."""
+    """The integer mu of a triangular support, or an error.
+
+    An explicit support must equal ``{(a,) + b : |b| < mu, a < mu - |b|}``
+    for mu one more than its largest total degree ``a + |b|``.
+    """
     if isinstance(support, int):
         if support < 1:
             raise ValueError("multiplicity must be at least 1")
         return support
     given = {tuple(int(v) for v in t) for t in support}
-    mu = 1
-    while mu <= len(given) + 1:
-        if given == _triangular_support(mu, r):
+    mu = 1 + max((sum(t) for t in given), default=-1)
+    # a triangular support of mu has at least mu elements
+    if 1 <= mu <= len(given):
+        tri = {(a,) + b for b in _derivative_indices(mu, r) for a in range(mu - sum(b))}
+        if given == tri:
             return mu
-        mu += 1
     raise ValueError("only triangular multiplicity supports are supported")
-
-
-def _derivative_indices(mu: int, r: int) -> List[Tuple[int, ...]]:
-    """All b in N**r with |b| < mu, graded lexicographic."""
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == r:
-            out.append(tuple(prefix))
-            return
-        for v in range(left + 1):
-            rec(prefix + [v], left - v)
-
-    for total in range(mu):
-        start = len(out)
-        rec([], total)
-        # keep only tuples of this total degree, in lex order
-        out[start:] = sorted(t for t in out[start:] if sum(t) == total)
-    return out
 
 
 def gs_instance(prob: GSProblem) -> InterpInstance:
@@ -269,12 +247,11 @@ def q_vanishes_at(prob: GSProblem, row: Sequence[Poly], k: int) -> bool:
     """Explicit multivariate check of one interpolation condition.
 
     Reassembles Q = sum_gamma row[gamma] * Y**gamma, expands
-    Q(X + x_k, Y + y_k) by brute force (products of the shifted factors,
-    no derivative shortcuts), and inspects every coefficient whose
-    exponent lies in the multiplicity support.
+    Q(X + x_k, Y + y_k) below X-degree mu by brute force (products of the
+    shifted factors, no derivative shortcuts), and inspects every
+    coefficient whose exponent lies in the multiplicity support.
     """
-    field = prob.field
-    p = field.p
+    p = prob.field.p
     r = prob.num_y
     x, ys = prob.points[k]
     mu = _multiplicity_of(prob.multiplicities[k], r)
@@ -284,7 +261,7 @@ def q_vanishes_at(prob: GSProblem, row: Sequence[Poly], k: int) -> bool:
     for ex, e in zip(prob.exponents, row):
         if not e:
             continue
-        px = taylor_shift(list(e), x, field)
+        px = taylor_prefix(e, x, mu, p)  # only X-degrees below mu are read
         ypart = {(0,) * r: 1}  # running expansion of prod_i (Y_i + y_i)**g_i
         for i, gi in enumerate(ex):
             for _ in range(gi):

@@ -5,6 +5,12 @@ Instances and results are JSON; coefficients are plain integers in
 [0, p), low degree first, with [] as the zero polynomial.  Exit codes:
 0 success, 1 input error, 2 verification failure or engine mismatch,
 3 internal error.
+
+``check`` rejects a basis entry of more than sigma + 1 coefficients as
+an input error before sizing anything by it.  No basis that passes is
+cut off: in an s-Popov basis each off-diagonal entry is shorter than the
+diagonal entry of its column, and the diagonal degrees sum to the
+colength, at most sigma.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from . import linalg
 from .apps import (
     ApproximantProblem,
     GSProblem,
@@ -151,6 +158,9 @@ def cmd_check(args) -> int:
     data = _load_json(args.basis)
     try:
         _check_residues(data["basis"], inst.field.p, "basis")
+        longest = inst.sigma + 1
+        if any(len(e) > longest for row in data["basis"] for e in row):
+            raise ValueError(f"basis entries must have at most sigma + 1 = {longest} coefficients")
         basis = PolyMat.from_rows(inst.field, data["basis"])
         delta = [int(v) for v in data["delta"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -197,7 +207,7 @@ def _colength(inst: InterpInstance) -> int:
             # in reduced echelon form, w's entries at the pivot columns are
             # its coordinates on the basis rows
             coords = w[0, pivots]
-            v = (w[0] - (coords[:, None] * basis[:r] % p).sum(0)) % p
+            v = (w[0] - linalg.matmul_mod(coords[None], basis[:r], p)[0]) % p
             nonzero = np.flatnonzero(v)
             if nonzero.size == 0:
                 break

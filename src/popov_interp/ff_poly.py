@@ -9,6 +9,11 @@ Products dispatch on operand size: schoolbook below a threshold, a
 number-theoretic transform when the modulus has enough 2-adic roots of
 unity for the result length, and Karatsuba otherwise.  All paths return
 bit-identical coefficient lists.
+
+The one Taylor shift is ``taylor_prefix``, ``a(X + x) mod X**n`` by n
+synthetic divisions by X - x: the list reference of the module action
+and the multivariate vanishing check read only such prefixes, and
+``taylor_shift`` is the same routine at full length.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ NEG_INF = float("-inf")
 
 _SCHOOLBOOK_MIN = 16  # below this (either operand) schoolbook wins
 _KARATSUBA_BASE = 33  # recursion floor for the divide-and-conquer product
-_TAYLOR_HORNER_MAX = 64  # dense Taylor shift switches to splitting above this
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -33,7 +37,7 @@ def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for every n < 2**64."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -317,18 +321,6 @@ def poly_divrem(a: Poly, b: Poly, field: Modulus):
     return poly_trim(q), poly_trim(r[: lb - 1])
 
 
-def poly_mul_x_plus(a: Poly, c: int, p: int) -> Poly:
-    """a * (X + c).  Leading coefficient is preserved."""
-    if not a:
-        return []
-    c %= p
-    out = [c * a[0] % p]
-    for t in range(1, len(a)):
-        out.append((a[t - 1] + c * a[t]) % p)
-    out.append(a[-1])
-    return out
-
-
 def _binom_digit(n: int, k: int, p: int) -> int:
     if k > n:
         return 0
@@ -355,52 +347,31 @@ def binom_mod(n: int, k: int, p: int) -> int:
     return res
 
 
-def _x_plus_c_power(c: int, n: int, field: Modulus) -> Poly:
-    """(X + c)**n via binomial coefficients."""
-    p = field.p
-    c %= p
-    if n == 0:
-        return [1]
-    if c == 0:
-        return [0] * n + [1]
-    powers = [1] * (n + 1)
-    for t in range(1, n + 1):
-        powers[t] = powers[t - 1] * c % p
-    if n >= p:
-        binoms = [binom_mod(n, t, p) for t in range(n + 1)]
-    else:
-        # C(n, t+1) = C(n, t) * (n - t) / (t + 1); every t + 1 <= n < p is invertible
-        inv = [0, 1] + [0] * (n - 1)
-        for t in range(2, n + 1):
-            inv[t] = (p - p // t) * inv[p % t] % p
-        binoms = [1] * (n + 1)
-        for t in range(n):
-            binoms[t + 1] = binoms[t] * (n - t) % p * inv[t + 1] % p
-    return poly_trim([b * powers[n - t] % p for t, b in enumerate(binoms)])
+def taylor_prefix(a: Poly, x: int, n: int, p: int) -> Poly:
+    """``a(X + x) mod X**n``, by n synthetic divisions by X - x.
+
+    The k-th remainder is the coefficient of X**k in a(X + x); this costs
+    O(n * len(a)), and is the one Taylor shift of the library.
+    """
+    x %= p
+    if x == 0:
+        return poly_trim(list(a[:n]))
+    q = list(a)
+    out = []
+    for _ in range(min(n, len(q))):
+        # Horner in place: q[t] becomes the quotient's coefficient of
+        # X**(t-1), and q[0] the remainder q(x)
+        acc = 0
+        for t in range(len(q) - 1, -1, -1):
+            acc = (acc * x + q[t]) % p
+            q[t] = acc
+        out.append(q.pop(0))
+    return poly_trim(out)
 
 
 def taylor_shift(a: Poly, x: int, field: Modulus) -> Poly:
-    """The polynomial a(X + x).
+    """The polynomial a(X + x): ``taylor_prefix`` at full length.
 
-    Degree and leading coefficient are preserved.  Single-term inputs use
-    the binomial expansion directly; small dense inputs use Horner on
-    (X + x); larger ones split in half, all bit-exact.
+    Degree and leading coefficient are preserved.
     """
-    p = field.p
-    x %= p
-    if not a or x == 0 or len(a) == 1:
-        return list(a)
-    nonzero = [t for t, c in enumerate(a) if c]
-    if len(nonzero) == 1:
-        n = nonzero[0]
-        return poly_scale(_x_plus_c_power(x, n, field), a[n], p)
-    if len(a) <= _TAYLOR_HORNER_MAX:
-        out = [a[-1]]
-        for c in reversed(a[:-1]):
-            out = poly_mul_x_plus(out, x, p)
-            out[0] = (out[0] + c) % p
-        return poly_trim(out)
-    h = len(a) // 2
-    lo = taylor_shift(poly_trim(a[:h]), x, field)
-    hi = taylor_shift(a[h:], x, field)
-    return poly_add(lo, poly_mul(_x_plus_c_power(x, h, field), hi, field), p)
+    return taylor_prefix(a, x, len(a), field.p)

@@ -16,10 +16,13 @@ Residuals ``P . E`` of a polynomial matrix against a module matrix use
 ``p . e = sum_k p_k * (X**k . e)``: the coefficients of P times the
 stacked Krylov rows ``X**k . E_j``, one modular matrix product.  The
 direct path, on lists of Python integers, identifies each block with a
-truncated power series and computes ``p(X + x_j) * f_j  mod  X**(size_j)``;
-it shares no code with the residual or with ``mib_engine.interpolant_check``
-(which multiplies by its own table of rows ``X**k . E_j``), and is the
-list reference both are tested against.
+truncated power series and computes ``p(X + x_j) * f_j  mod  X**(size_j)``,
+the prefix ``p(X + x_j) mod X**n`` taken once per eigenvalue by
+``ff_poly.taylor_prefix``, the library's one Taylor shift.  It shares no
+code with the residual or with ``mib_engine.interpolant_check`` (which
+multiplies by its own table of rows ``X**k . E_j``; both products are
+``linalg.matmul_mod``), and is the list reference both are tested
+against.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .ff_poly import Modulus, Poly, poly_mul_trunc, poly_trim
+from .ff_poly import Modulus, Poly, poly_mul_trunc, poly_trim, taylor_prefix
 from .polymat import PolyMat
 
 Block = Tuple[int, int]  # (eigenvalue, size)
@@ -116,27 +119,6 @@ def standardize(blocks: Iterable[Block], rows) -> Tuple[JordanSpec, np.ndarray]:
     return JordanSpec(tuple(blocks[i] for i in order)), rows[:, perm]
 
 
-def _shifted_prefix(pl: Poly, x: int, n: int, p: int) -> Poly:
-    """``pl(X + x) mod X**n``, by n synthetic divisions by X - x.
-
-    The k-th remainder is the coefficient of X**k in pl(X + x); this costs
-    O(n * deg pl), against the whole Taylor shift's O(deg pl**2).
-    """
-    if x == 0:
-        return poly_trim(list(pl[:n]))
-    q = list(pl)
-    out = []
-    for _ in range(min(n, len(q))):
-        # Horner in place: q[t] becomes the quotient's coefficient of
-        # X**(t-1), and q[0] the remainder q(x)
-        acc = 0
-        for t in range(len(q) - 1, -1, -1):
-            acc = (acc * x + q[t]) % p
-            q[t] = acc
-        out.append(q.pop(0))
-    return poly_trim(out)
-
-
 def apply_poly_row(pl: Poly, row: Sequence[int], jordan: JordanSpec, field: Modulus) -> List[int]:
     """The module action of pl on one row."""
     if len(row) != jordan.total:
@@ -154,7 +136,7 @@ def apply_poly_row(pl: Poly, row: Sequence[int], jordan: JordanSpec, field: Modu
         if not f:
             continue
         if x not in shifted:
-            shifted[x] = _shifted_prefix(pl, x % p, longest[x], p)
+            shifted[x] = taylor_prefix(pl, x, longest[x], p)
         g = poly_mul_trunc(shifted[x], f, n, field)
         out[off : off + len(g)] = g
     return out

@@ -2,6 +2,14 @@
 
 Every routine is deterministic: pivots are chosen as the first usable row.
 Residues and the modulus stay below 2**31 so products fit in int64.
+
+``matmul_mod`` is the library's one exact modular matrix product.  For
+p > 2**16 each entry of the left factor is split into 16-bit limbs,
+``c = h * 2**16 + l`` with h < 2**15, so a limb times a residue is below
+2**47 (below 2**32 for p <= 2**16, where the entry is its own limb) and
+a chunk of ``CHUNK`` = 2**16 such terms sums below 2**63.  Each chunk is
+reduced mod p before it is added in, and the limbs recombine as
+``l_sum + h_sum * 2**16``, below 2**48, before the last remainder.
 """
 
 from __future__ import annotations
@@ -18,13 +26,21 @@ def as_matrix(rows, p: int) -> np.ndarray:
     return a % p
 
 
+# the most terms matmul_mod sums before a remainder (see the module docstring)
+CHUNK = 1 << 16
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # split the inner dimension so that out + step products of residues,
-    # at most (p-1) + step*(p-1)**2, stays within int64
-    step = (2**63 - p) // (p - 1) ** 2
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for lo in range(0, a.shape[1], step):
-        out = (out + a[:, lo : lo + step] @ b[lo : lo + step, :]) % p
+    """``a @ b mod p``, exact, for int64 arrays of residues."""
+    n = a.shape[0]
+    limbs = np.concatenate([a & 0xFFFF, a >> 16]) if p > 1 << 16 else a
+    out = np.zeros((limbs.shape[0], b.shape[1]), dtype=np.int64)
+    for lo in range(0, a.shape[1], CHUNK):
+        part = np.einsum("ik,kt->it", limbs[:, lo : lo + CHUNK], b[lo : lo + CHUNK])
+        out += part % p
+        out %= p
+    if len(out) > n:  # recombine the limbs
+        out = (out[:n] + (out[n:] << 16)) % p
     return out
 
 

@@ -48,9 +48,11 @@ split, push the residual and bump the shift through ``solve_left``.
 ``interpolant_check`` verifies a row from the definition of the module
 action, ``p . E = sum_k p_k (X**k . E)``: it gathers the rows
 ``X**k . E_j`` that the row's coefficients meet from the instance's
-``PowerTable`` and takes one exact modular product.  The table steps E
-with its own per-column Jordan data, not the engines' ``column_action``,
-and grows column j only as far as the longest entry checked in column j.
+``PowerTable`` and takes one exact ``linalg.matmul_mod``.  The product
+is shared with the engines, as ``linalg.rank_mod`` is with the benchmark
+gate; what keeps the check independent is the table, which steps E with
+its own per-column Jordan data, not the engines' ``column_action``, and
+grows column j only as far as the longest entry checked in column j.
 ``jordan_module.residual_direct``, on lists, is the reference the tests
 hold the check to.
 
@@ -189,27 +191,16 @@ class PowerTable:
             v = v[: len(order)]
 
 
-# most coefficients one product of interpolant_check sums before a remainder
-_CHUNK = 1 << 16
-
-
 def interpolant_check(row: Sequence[Poly], inst: InterpInstance) -> bool:
     """True iff row . E vanishes under the module action.
 
     Computed from the definition ``p . E = sum_k p_k (X**k . E)``: the
     row's coefficients, read mod p, entry j low degree first, times the
-    rows ``X**k . E_j`` gathered from ``inst.powers``, one modular
-    product.  Entries may be untrimmed, longer than sigma, negative or
-    beyond int64.
-
-    The product is exact in int64.  Each coefficient c < p < 2**31 is
-    split as ``c = h * 2**16 + l`` with l < 2**16 and h < 2**15, and each
-    half is multiplied by table residues below 2**31, so every term is
-    below 2**47; a chunk sums at most 2**16 = ``_CHUNK`` terms, so its
-    sum stays below 2**63.  Both sums are reduced mod p and recombined
-    as ``l_sum + (h_sum * 2**16 mod p)``, below 2**32.  For p <= 2**16
-    the coefficient is its own low half and the high half is dropped.  ``jordan_module.residual_direct``, the list computation of
-    the same action, is the reference the tests compare this with.
+    rows ``X**k . E_j`` gathered from ``inst.powers``, one exact
+    ``linalg.matmul_mod``.  Entries may be untrimmed, longer than sigma,
+    negative or beyond int64.  ``jordan_module.residual_direct``, the list
+    computation of the same action, is the reference the tests compare
+    this with.
     """
     if len(row) != inst.m:
         raise ValueError("row length does not match the instance")
@@ -221,16 +212,7 @@ def interpolant_check(row: Sequence[Poly], inst: InterpInstance) -> bool:
         # beyond int64: reduce each coefficient first
         c = np.array([v % p for e in row for v in e], dtype=np.int64)
     c %= p
-    rows = inst.powers.gather(lengths)
-    halves = np.stack([c & 0xFFFF, c >> 16]) if p > 1 << 16 else c[None]
-    acc = np.zeros(rows.shape[1], dtype=np.int64)
-    for lo in range(0, len(c), _CHUNK):
-        part = np.einsum("hk,kt->ht", halves[:, lo : lo + _CHUNK], rows[lo : lo + _CHUNK])
-        part %= p
-        if len(part) > 1:
-            part[0] += (part[1] << 16) % p
-        acc = (acc + part[0]) % p
-    return not acc.any()
+    return not linalg.matmul_mod(c[None], inst.powers.gather(lengths), p).any()
 
 
 def _eliminate(aug: np.ndarray, jordan: JordanSpec, p: int, shift: Sequence[int]):

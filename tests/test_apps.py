@@ -1,5 +1,7 @@
 """Order bases, multivariate interpolation, shift reduction, adversarial inputs."""
 
+import itertools
+
 import pytest
 
 from conftest import poly_eval, random_instance
@@ -7,6 +9,7 @@ from popov_interp import (
     InterpInstance,
     Modulus,
     PolyMat,
+    interpolant_check,
     iterative_mib,
     popov_mib,
 )
@@ -20,7 +23,7 @@ from popov_interp.apps import (
     q_vanishes_at,
     reduce_shift,
 )
-from popov_interp.ff_poly import poly_mul_trunc
+from popov_interp.ff_poly import poly_add, poly_mul, poly_mul_trunc, poly_trim, taylor_shift
 
 F = Modulus(97)
 
@@ -124,6 +127,14 @@ def test_gs_explicit_triangular_support_accepted():
     prob = GSProblem(F, 1, ((0,), (1,)), ((3, (4,)),), (tri,), (1,))
     inst = gs_instance(prob)
     assert inst.sigma == 3
+    # r = 2, mu = 3: {(a, b1, b2) : a + b1 + b2 < 3}, in any order
+    tri = tuple(t for t in itertools.product(range(3), repeat=3) if sum(t) < 3)[::-1]
+    exponents = ((0, 0), (1, 0), (0, 1))
+    explicit = gs_instance(GSProblem(F, 2, exponents, ((3, (4, 5)),), (tri,), (1, 1)))
+    assert explicit.sigma == len(tri) == 10
+    implicit = gs_instance(GSProblem(F, 2, exponents, ((3, (4, 5)),), (3,), (1, 1)))
+    assert explicit.jordan == implicit.jordan
+    assert explicit.E.tolist() == implicit.E.tolist()
 
 
 def test_gs_validation_errors():
@@ -135,6 +146,62 @@ def test_gs_validation_errors():
         gs_instance(
             GSProblem(F, 1, ((0,),), ((1, (2,)),), ((((0, 0), (1, 1)),)), (0,))
         )
+    holed = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))  # mu = 3 without (1, 1)
+    for support in ((), holed, ((0,), (1,)), ((0, 0, 0),)):
+        with pytest.raises(ValueError, match="triangular"):
+            gs_instance(GSProblem(F, 1, ((0,),), ((1, (2,)),), (support,), (0,)))
+
+
+@pytest.mark.parametrize("p", [97, 998244353])
+@pytest.mark.parametrize("num_y", [1, 2])
+def test_q_vanishes_at_agrees_with_interpolant_check(rng, p, num_y):
+    """The explicit check fails exactly where the module check does.
+
+    Rows: the Popov basis rows, random rows, basis rows with one
+    coefficient bumped, and basis rows plus (X - x)**(mu - 1) *
+    (X - x2)**3.  Points 0 and 1 share the eigenvalue x and multiplicity
+    mu, point 2 has x2 and at most 3, so the last kind changes nothing at
+    point 2 and nothing below X-degree mu - 1 at points 0 and 1: a prefix
+    cut one short of mu would see it vanish everywhere.
+    """
+    field = Modulus(p)
+    exponents = tuple(ex for ex in itertools.product(range(3), repeat=num_y) if sum(ex) <= 2)
+    seen = set()
+    for mu in (1, 2, 3):
+        x, x2 = rng.sample(range(p), 2)
+        y = tuple(rng.randrange(p) for _ in range(num_y))
+        y1 = ((y[0] + 1) % p,) + y[1:]
+        y2 = tuple(rng.randrange(p) for _ in range(num_y))
+        points = ((x, y), (x, y1), (x2, y2))
+        mus = (mu, mu, rng.randint(1, 3))
+        weights = tuple(rng.randint(0, 2) for _ in range(num_y))
+        prob = GSProblem(field, num_y, exponents, points, mus, weights)
+        inst = gs_instance(prob)
+        basis, _ = popov_mib(inst)
+        # (X - x)**(mu - 1) * (X - x2)**3
+        late = poly_mul(
+            taylor_shift([0] * (mu - 1) + [1], -x, field),
+            taylor_shift([0, 0, 0, 1], -x2, field),
+            field,
+        )
+        rows = [list(row) for row in basis.rows]
+        for _ in range(3):
+            rows.append([
+                poly_trim([rng.randrange(p) for _ in range(rng.randint(0, inst.sigma + 2))])
+                for _ in exponents
+            ])
+        for row in basis.rows:
+            bumped = [list(e) for e in row]
+            j = rng.randrange(len(bumped))
+            t = rng.randrange(len(bumped[j]) + 1)
+            bumped[j] = poly_add(bumped[j], [0] * t + [rng.randrange(1, p)], p)
+            rows.append(bumped)
+            rows.append([poly_add(row[0], late, p)] + list(row[1:]))
+        for row in rows:
+            ok = all(q_vanishes_at(prob, row, k) for k in range(len(points)))
+            assert ok == interpolant_check(row, inst)
+            seen.add(ok)
+    assert seen == {True, False}
 
 
 def test_reduce_shift_examples():

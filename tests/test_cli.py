@@ -347,3 +347,22 @@ def test_bad_arguments_are_input_errors():
     assert main(["bench", "--sigmas", "8,x"]) == 1
     assert main(["bench", "--sigmas", "8", "--p", "96"]) == 1
     assert main(["bench", "--m", "0", "--sigmas", "8"]) == 1
+
+
+def test_check_bounds_basis_entries_by_sigma(tmp_path, capsys):
+    # sigma = 4: an entry of sigma + 1 = 5 coefficients is read and checked,
+    # one of sigma + 2 is an input error before anything is sized by it
+    inst = tmp_path / "inst.json"
+    inst.write_text(
+        json.dumps({"p": 97, "m": 2, "jordan": [[0, [4]]], "E": [[0, 1, 0, 0], [0, 0, 0, 0]], "shift": [0, 0]})
+    )
+    basis = tmp_path / "basis.json"
+    # diag(X^4, 1): Popov interpolants, but delta sums to 4 > colength 3
+    basis.write_text(json.dumps({"p": 97, "basis": [[[0, 0, 0, 0, 1], []], [[], [1]]], "delta": [4, 0]}))
+    assert main(["check", str(inst), str(basis)]) == 2
+    out = capsys.readouterr().out
+    assert "popov-form: ok" in out and "zero-residual: ok" in out
+    assert "degree-sum: FAIL" in out
+    basis.write_text(json.dumps({"p": 97, "basis": [[[0, 0, 0, 0, 0, 1], []], [[], [1]]], "delta": [5, 0]}))
+    assert main(["check", str(inst), str(basis)]) == 1
+    assert "sigma + 1" in capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 
 from popov_interp.ff_poly import (
     Modulus,
-    _x_plus_c_power,
     binom_mod,
     poly_add,
     poly_deg,
@@ -14,14 +13,15 @@ from popov_interp.ff_poly import (
     poly_mul,
     poly_mul_schoolbook,
     poly_mul_trunc,
-    poly_mul_x_plus,
     poly_sub,
     poly_trim,
+    taylor_prefix,
     taylor_shift,
 )
 
 F97 = Modulus(97)
 FNTT = Modulus(998244353)
+PRIMES = (3, 97, 998244353, 2**31 - 1)
 
 
 def rand_poly(rng, deg_max, p):
@@ -115,29 +115,34 @@ def test_taylor_shift_examples():
 
 def test_taylor_shift_round_trip_and_leading():
     rng = random.Random(13)
-    for field in (F97, FNTT):
-        for _ in range(100):
-            a = rand_poly(rng, 30, field.p)
-            x = rng.randrange(field.p)
-            shifted = taylor_shift(a, x, field)
-            assert taylor_shift(shifted, (-x) % field.p, field) == a
-            assert poly_deg(shifted) == poly_deg(a)
-            if a:
-                assert shifted[-1] == a[-1]
+    for p in PRIMES:
+        field = Modulus(p)
+        for deg_max in (30, 150):
+            for _ in range(20):
+                a = rand_poly(rng, deg_max, p)
+                x = rng.randrange(p)
+                shifted = taylor_shift(a, x, field)
+                assert taylor_shift(shifted, (-x) % p, field) == a
+                assert poly_deg(shifted) == poly_deg(a)
+                if a:
+                    assert shifted[-1] == a[-1]
 
 
 def test_taylor_shift_large_matches_horner():
-    # the split path must agree with plain Horner on (X + x)
+    # plain Horner on (X + x), at lengths 66 and 201
     rng = random.Random(17)
-    for field in (F97, FNTT):
-        p = field.p
-        a = [rng.randrange(p) for _ in range(200)] + [1]
-        x = rng.randrange(1, p)
-        ref = [a[-1]]
-        for c in reversed(a[:-1]):
-            ref = poly_mul_x_plus(ref, x, p)
-            ref[0] = (ref[0] + c) % p
-        assert taylor_shift(a, x, field) == ref
+    for p in PRIMES:
+        field = Modulus(p)
+        for n in (65, 200):
+            a = [rng.randrange(p) for _ in range(n)] + [1]
+            x = rng.randrange(1, p)
+            ref = []
+            for c in reversed(a):
+                # ref * (X + x) + c
+                ref = [(u + x * v) % p for u, v in zip([0] + ref, ref + [0])]
+                ref[0] = (ref[0] + c) % p
+            assert taylor_shift(a, x, field) == ref
+            assert taylor_prefix(a, x, 10, p) == poly_trim(ref[:10])
 
 
 def test_binom_mod_lucas():
@@ -147,18 +152,6 @@ def test_binom_mod_lucas():
         for k in range(0, n + 1, 7):
             assert binom_mod(n, k, 97) == math.comb(n, k) % 97
     assert binom_mod(5, 9, 97) == 0
-
-
-def test_x_plus_c_power_matches_lucas():
-    # below p the binomials come from a recurrence, from p on from Lucas
-    for field in (Modulus(3), F97, FNTT):
-        p = field.p
-        for n in list(range(0, 12)) + [96, 97, 150, 200]:
-            c = (7 * n + 5) % p
-            ref = [binom_mod(n, t, p) * pow(c, n - t, p) % p for t in range(n + 1)]
-            while ref and ref[-1] == 0:
-                ref.pop()
-            assert _x_plus_c_power(c, n, field) == ref
 
 
 def test_poly_sub_trims():

@@ -22,7 +22,7 @@ from popov_interp import (
     popov_mib,
 )
 from popov_interp.jordan_module import residual_direct, x_powers
-from popov_interp.mib_engine import _CHUNK
+from popov_interp.linalg import CHUNK
 
 from conftest import random_instance
 
@@ -172,11 +172,11 @@ def test_check_is_exact_past_one_chunk_near_2_31():
     p = 2**31 - 1
     jordan = JordanSpec(((1, 1), (2 * p - 1, 1)))
     inst = InterpInstance(Modulus(p), [[p - 1, p - 1]], jordan, (0,))
-    length = 2 * _CHUNK + 2
+    length = 2 * CHUNK + 2
     half = (length - 2) // 2
     row = [[p - 1] * (length - 2) + [half, half]]
     assert interpolant_check(row, inst) and reference(row, inst)
-    for k in (0, _CHUNK, length - 1):
+    for k in (0, CHUNK, length - 1):
         bent = [list(row[0])]
         bent[0][k] = (bent[0][k] + 1) % p
         assert not interpolant_check(bent, inst)

@@ -15,7 +15,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from math import comb
@@ -99,8 +98,16 @@ class GSProblem:
 
 def _derivative_indices(mu: int, r: int) -> List[Tuple[int, ...]]:
     """All b in N**r with |b| < mu, graded lexicographic."""
-    box = itertools.product(range(mu), repeat=r)
-    return sorted((b for b in box if sum(b) < mu), key=lambda b: (sum(b), b))
+
+    def of_sum(t: int, r: int):  # the b in N**r with |b| = t, lexicographic
+        if r == 1:
+            yield (t,)
+            return
+        for first in range(t + 1):
+            for rest in of_sum(t - first, r - 1):
+                yield (first,) + rest
+
+    return [b for t in range(mu) for b in of_sum(t, r)]
 
 
 def _multiplicity_of(support, r: int) -> int:
@@ -115,8 +122,9 @@ def _multiplicity_of(support, r: int) -> int:
         return support
     given = {tuple(int(v) for v in t) for t in support}
     mu = 1 + max((sum(t) for t in given), default=-1)
-    # a triangular support of mu has at least mu elements
-    if 1 <= mu <= len(given):
+    # the triangular support of mu is the comb(mu + r, r + 1) tuples of
+    # N**(r+1) summing below mu; no other size is enumerated
+    if mu >= 1 and len(given) == comb(mu + r, r + 1):
         tri = {(a,) + b for b in _derivative_indices(mu, r) for a in range(mu - sum(b))}
         if given == tri:
             return mu

@@ -9,8 +9,24 @@ Instances and results are JSON; coefficients are plain integers in
 ``check`` rejects a basis entry of more than sigma + 1 coefficients as
 an input error before sizing anything by it.  No basis that passes is
 cut off: in an s-Popov basis each off-diagonal entry is shorter than the
-diagonal entry of its column, and the diagonal degrees sum to the
-colength, at most sigma.
+diagonal entry of its column, and the diagonal degrees sum to at most
+sigma.
+
+``check`` certifies that the basis P generates the module M of
+interpolants, not only that its rows lie in M.  Let P be in s-Popov form
+with diagonal degrees delta.  Its diagonal entries are monic and every
+other entry of column j has degree below delta_j, so dividing any row
+vector by P leaves a unique combination of the staircase monomials
+``X**k . e_j``, k < delta_j: they are a basis of ``F[X]^m / rows(P)``,
+whose dimension is ``sum(delta)``.  If the rows of P are interpolants,
+the module action ``p -> p . E`` vanishes on ``rows(P)``, a submodule
+of its kernel M, so the images ``X**k . E_j`` of the staircase monomials
+span its image, whose dimension is the colength ``dim F[X]^m / M``.  So
+their rank is the colength, at most ``sum(delta)``, with equality if and
+only if ``rows(P) = M``.  The check takes that rank over the rows of
+``inst.powers``, which the residual check has already grown that far: a
+Popov row reaches degree delta_j in column j.  A rank is at most sigma,
+so a degree sum past sigma fails before anything is built.
 """
 
 from __future__ import annotations
@@ -23,8 +39,6 @@ import sys
 import time
 from typing import List, Optional
 
-import numpy as np
-
 from . import linalg
 from .apps import (
     ApproximantProblem,
@@ -35,7 +49,7 @@ from .apps import (
     order_basis,
 )
 from .ff_poly import Modulus
-from .jordan_module import JordanSpec, standardize, x_powers
+from .jordan_module import JordanSpec, standardize
 from .mib_engine import InterpInstance, interpolant_check, iterative_mib
 from .polymat import PolyMat, is_popov
 from .popov_mib import popov_mib
@@ -178,46 +192,17 @@ def cmd_check(args) -> int:
     print(f"zero-residual: {'ok' if resid_ok else 'FAIL'}")
     failed |= not resid_ok
 
-    # a Popov basis of interpolants generates the module iff its degree
-    # sum is the colength, the rank of the Krylov rows X**k . E_i
+    # a Popov basis of interpolants generates the module iff its
+    # staircase rows X**k . E_j, k < delta_j, are independent (see above)
     diag_ok = popov_ok and delta == [len(basis.rows[i][i]) - 1 for i in range(inst.m)]
-    degree_ok = diag_ok and sum(delta) == _colength(inst)
+    degree_ok = (
+        diag_ok
+        and sum(delta) <= inst.sigma
+        and linalg.rank_mod(inst.powers.gather(delta), inst.field.p) == sum(delta)
+    )
     print(f"degree-sum: {'ok' if degree_ok else 'FAIL'}")
     failed |= not degree_ok
     return CHECK_FAILED if failed else OK
-
-
-def _colength(inst: InterpInstance) -> int:
-    """Dimension of the span of the rows X**k . E_i.
-
-    The vectors X**k . E_i, k = 0, 1, ..., are reduced one by one against
-    a reduced echelon basis of the span so far, and row i stops at its
-    first dependent vector: the span of the earlier rows' sequences is
-    X-invariant, so every later power of E_i is dependent too.  At most
-    colength + m vectors are reduced.
-    """
-    p = inst.field.p
-    sigma = inst.sigma
-    basis = np.zeros((sigma, sigma), dtype=np.int64)
-    pivots: List[int] = []  # pivot column of each basis row
-    for row in inst.E:
-        w = np.array([row], dtype=np.int64)
-        while True:
-            r = len(pivots)
-            # in reduced echelon form, w's entries at the pivot columns are
-            # its coordinates on the basis rows
-            coords = w[0, pivots]
-            v = (w[0] - linalg.matmul_mod(coords[None], basis[:r], p)[0]) % p
-            nonzero = np.flatnonzero(v)
-            if nonzero.size == 0:
-                break
-            col = int(nonzero[0])
-            v = v * pow(int(v[col]), p - 2, p) % p
-            basis[:r] = (basis[:r] - np.outer(basis[:r, col], v)) % p
-            basis[r] = v
-            pivots.append(col)
-            w = x_powers(w, inst.jordan, inst.field, 1)[1]
-    return len(pivots)
 
 
 def _bench_instance(p: int, m: int, sigma: int, seed: int) -> InterpInstance:

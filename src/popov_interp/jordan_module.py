@@ -12,17 +12,20 @@ Module matrices E are ``(m, sigma)`` int64 arrays of residues:
 ``standardize`` permutes their columns into the paper's standard
 representation, once, where an instance is made, and ``residual``
 returns one.
-Residuals ``P . E`` of a polynomial matrix against a module matrix use
-``p . e = sum_k p_k * (X**k . e)``: the coefficients of P times the
-stacked Krylov rows ``X**k . E_j``, one modular matrix product.  The
-direct path, on lists of Python integers, identifies each block with a
-truncated power series and computes ``p(X + x_j) * f_j  mod  X**(size_j)``,
-the prefix ``p(X + x_j) mod X**n`` taken once per eigenvalue by
+The engines build every row ``X**k . E_j`` they read with one routine,
+``strided_powers``: residuals ``P . E`` of a polynomial matrix against a
+module matrix use ``p . e = sum_k p_k * (X**k . e)``, the coefficients of
+P times the stacked Krylov rows at stride 1, one modular matrix product,
+and the known-degree rebuild takes the rows at the stride of its
+expansion.  Verification reads its own table of these rows
+(``mib_engine.PowerTable``).  The direct path, on lists of Python
+integers, identifies each block with a truncated power series and
+computes ``p(X + x_j) * f_j  mod  X**(size_j)``, the prefix
+``p(X + x_j) mod X**n`` taken once per eigenvalue by
 ``ff_poly.taylor_prefix``, the library's one Taylor shift.  It shares no
-code with the residual or with ``mib_engine.interpolant_check`` (which
-multiplies by its own table of rows ``X**k . E_j``; both products are
-``linalg.matmul_mod``), and is the list reference both are tested
-against.
+code with the residual or with ``mib_engine.interpolant_check`` (both
+products are ``linalg.matmul_mod``), and is the list reference both are
+tested against.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class JordanSpec:
     def offsets(self) -> Tuple[int, ...]:
         return tuple(itertools.accumulate((n for _, n in self.blocks), initial=0))[:-1]
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(n for _, n in self.blocks)
 
@@ -183,22 +186,6 @@ def _x_step(v: np.ndarray, xs: np.ndarray, carry: np.ndarray, p: int) -> np.ndar
     return np.remainder(w, p, out=w)
 
 
-def x_powers(rows, jordan: JordanSpec, field: Modulus, d: int) -> np.ndarray:
-    """The int64 array K with K[k, j] = X**k . rows[j], 0 <= k <= d.
-
-    The rows are residues, read as they are.
-    """
-    p = field.p
-    sigma = jordan.total
-    v = np.asarray(rows, dtype=np.int64).reshape(len(rows), sigma)
-    xs, carry = column_action(jordan, p)
-    out = np.empty((d + 1,) + v.shape, dtype=np.int64)
-    out[0] = v
-    for k in range(1, d + 1):
-        v = out[k] = _x_step(v, xs, carry, p)
-    return out
-
-
 def strided_powers(
     rows: np.ndarray, jordan: JordanSpec, field: Modulus, counts: Sequence[int], stride: int
 ) -> np.ndarray:
@@ -230,11 +217,12 @@ def strided_powers(
 def residual(pmat: PolyMat, rows: np.ndarray, jordan: JordanSpec) -> np.ndarray:
     """P . E as one Krylov-matrix product, an (nrows, sigma) int64 array.
 
-    With P's packed coefficients read as an (nrows, d*m) array, entry
-    (i, k*m + j) holding the coefficient of X**k in p_ij, the residual is
-    that array times the stacked rows ``X**k . E_j`` from ``x_powers``,
-    reduced mod p.  Long entries are taken in slabs of powers to bound
-    memory.
+    With P's packed coefficients read entry-major as an (nrows, m*d)
+    array, entry (i, j*d + k) holding the coefficient of X**k in p_ij, the
+    residual is that array times the rows ``X**k . E_j``, j-major, from
+    ``strided_powers``, reduced mod p.  Long entries are taken in slabs of
+    powers to bound memory; each slab starts one X step past the last
+    rows of the one before.
     """
     field = pmat.field
     p = field.p
@@ -242,19 +230,17 @@ def residual(pmat: PolyMat, rows: np.ndarray, jordan: JordanSpec) -> np.ndarray:
     if m != len(rows):
         raise ValueError("dimension mismatch between P and E")
     sigma = jordan.total
-    coeffs = pmat.coeffs.transpose(0, 2, 1)
-    d = coeffs.shape[1]
+    d = pmat.coeffs.shape[2]
     out = np.zeros((pmat.nrows, sigma), dtype=np.int64)
     slab = max(1, _KRYLOV_SLAB // max(1, m * sigma))
     v = rows
     for lo in range(0, d, slab):
         n = min(slab, d - lo)
-        krylov = x_powers(v, jordan, field, n)
+        krylov = strided_powers(v, jordan, field, [n] * m, 1)
         part = linalg.matmul_mod(
-            coeffs[:, lo : lo + n].reshape(pmat.nrows, n * m),
-            krylov[:n].reshape(n * m, sigma),
-            p,
+            pmat.coeffs[:, :, lo : lo + n].reshape(pmat.nrows, m * n), krylov, p
         )
         out = (out + part) % p
-        v = krylov[n]
+        if lo + n < d:
+            v = _x_step(krylov[n - 1 :: n], *column_action(jordan, p), p)
     return out

@@ -45,7 +45,11 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _echelonize(m: np.ndarray, p: int, ncols: int) -> int:
-    """Reduced row echelon over the first ncols columns; returns the rank."""
+    """Reduced row echelon over the first ncols columns; returns the rank.
+
+    Rows r and below are zero left of column col, so the pivot row and
+    every update touch only the columns from col on.
+    """
     r = 0
     nrows = m.shape[0]
     for col in range(ncols):
@@ -56,12 +60,13 @@ def _echelonize(m: np.ndarray, p: int, ncols: int) -> int:
             continue
         piv = r + int(hits[0])
         if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] * pow(int(m[r, col]), p - 2, p) % p
+            m[[r, piv], col:] = m[[piv, r], col:]
+        m[r, col:] = m[r, col:] * pow(int(m[r, col]), p - 2, p) % p
+        pivot = m[r, col:]
         others = np.nonzero(m[:, col])[0]
         others = others[others != r]
         if others.size:
-            m[others] = (m[others] - np.outer(m[others, col], m[r])) % p
+            m[others, col:] = (m[others, col:] - np.outer(m[others, col], pivot)) % p
         r += 1
     return r
 

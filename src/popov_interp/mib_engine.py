@@ -128,7 +128,8 @@ class InterpInstance:
 
     @cached_property
     def powers(self) -> "PowerTable":
-        """The rows ``X**k . E_j`` that verification and the oracle read."""
+        """The rows ``X**k . E_j`` that verification, check's generation
+        certificate and the oracle read."""
         return PowerTable(self)
 
 

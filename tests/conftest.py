@@ -7,9 +7,11 @@ reproduce; the acceptance suite reuses the same generator.
 import importlib
 import random
 
+import numpy as np
 import pytest
 
 from popov_interp import InterpInstance, JordanSpec, Modulus, standardize
+from popov_interp.linalg import rank_mod
 
 # the modules; the package exports the function popov_mib under the same name
 POPOV_MIB = importlib.import_module("popov_interp.popov_mib")
@@ -60,6 +62,25 @@ def random_instance(
     else:
         shift = tuple(rng.randint(0, m * sigma) for _ in range(m))
     return InterpInstance(field, rows, jordan, shift)
+
+
+def dense_krylov_rank(inst) -> int:
+    """The colength: the rank of the rows X**k . E_i for k < sigma, each X
+    step taken on dense per-column Jordan data, as perfbench's gate does."""
+    p, sigma, m = inst.field.p, inst.sigma, inst.m
+    if not sigma:
+        return 0
+    eig = np.zeros(sigma, dtype=np.int64)
+    carry = np.ones(sigma, dtype=np.int64)  # 0 on the first column of each block
+    for (x, n), off in zip(inst.jordan.blocks, inst.jordan.offsets):
+        eig[off : off + n] = x % p
+        carry[off] = 0
+    v = np.array(inst.E, dtype=np.int64)
+    krylov = np.empty((sigma, m, sigma), dtype=np.int64)
+    for k in range(sigma):
+        krylov[k] = v
+        v = (v * eig + np.roll(v, 1, axis=1) * carry) % p
+    return rank_mod(krylov.reshape(sigma * m, sigma), p)
 
 
 def capture(monkeypatch, name, modules=(POPOV_MIB,)):

@@ -16,6 +16,7 @@ from popov_interp import (
 from popov_interp.apps import (
     ApproximantProblem,
     GSProblem,
+    _derivative_indices,
     adversarial_instance,
     approximant_instance,
     gs_instance,
@@ -265,3 +266,11 @@ def test_adversarial_blowup_small():
     popov, _ = popov_mib(inst)
     assert w.coefficient_count() >= m * m * (sigma - m) // 2
     assert popov.coefficient_count() <= 2 * m * (sigma + 1)
+
+
+def test_derivative_indices_are_graded_lexicographic():
+    for mu in range(7):
+        for r in range(1, 5):
+            box = itertools.product(range(mu), repeat=r)
+            want = sorted((b for b in box if sum(b) < mu), key=lambda b: (sum(b), b))
+            assert _derivative_indices(mu, r) == want

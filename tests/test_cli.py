@@ -1,11 +1,14 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 
 import json
+import time
 
 import pytest
 
-from conftest import random_instance
-from popov_interp.cli import instance_to_json, load_instance, main
+from conftest import dense_krylov_rank, random_instance
+from popov_interp import InterpInstance, PolyMat, is_popov, popov_mib
+from popov_interp.cli import basis_to_json, instance_to_json, load_instance, main
+from popov_interp.linalg import rank_mod
 
 
 @pytest.fixture
@@ -304,15 +307,13 @@ def test_check_rejects_non_generating_basis(tmp_path, capsys):
     assert main(["check", str(inst), str(solved)]) == 0
 
 
-@pytest.mark.parametrize("p", (3, 97, 998244353, 2**31 - 1))
-def test_colength_matches_dense_krylov_rank(rng, p):
-    from popov_interp import InterpInstance
-    from popov_interp.cli import _colength
-    from popov_interp.jordan_module import x_powers
-    from popov_interp.linalg import rank_mod
+PRIMES = (3, 97, 998244353, 2**31 - 1)
 
-    for _ in range(40):
-        # few eigenvalues, so blocks repeat them; sigma from 0 and below m
+
+def edge_instances(rng, p, count):
+    """Instances with sigma from 0 and below m, few (so repeated)
+    eigenvalues, and rows of E that are zero or multiples of others."""
+    for _ in range(count):
         inst = random_instance(rng, p=p, sigma_range=(0, 20), m_range=(1, 5), max_eigs=2)
         rows = [list(r) for r in inst.E]
         for i in range(1, len(rows)):
@@ -321,13 +322,75 @@ def test_colength_matches_dense_krylov_rank(rng, p):
                 rows[i] = [0] * inst.sigma
             elif pick < 0.4:  # a multiple of an earlier row adds nothing
                 rows[i] = [3 * v % p for v in rows[rng.randrange(i)]]
-        inst = InterpInstance(inst.field, rows, inst.jordan, inst.shift)
-        sigma, m = inst.sigma, inst.m
-        dense = 0
-        if sigma:
-            krylov = x_powers(inst.E, inst.jordan, inst.field, sigma - 1)
-            dense = rank_mod(krylov.reshape(sigma * m, sigma), p)
-        assert _colength(inst) == dense
+        yield InterpInstance(inst.field, rows, inst.jordan, inst.shift)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_colength_matches_dense_krylov_rank(rng, p):
+    # on the Popov basis, the rank check takes, of the staircase rows
+    # X**k . E_j for k < delta_j, is the colength and sum(delta)
+    for inst in edge_instances(rng, p, 40):
+        _, delta = popov_mib(inst)
+        staircase = rank_mod(inst.powers.gather(delta), p)
+        assert staircase == dense_krylov_rank(inst) == sum(delta)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_check_certifies_generation(rng, p, tmp_path, capsys):
+    # every Popov basis passes; one row times X leaves interpolant rows of
+    # a proper submodule, and those still in Popov form fail only the
+    # degree sum (or are input errors, past sigma + 1 coefficients)
+    inst_path, basis_path = tmp_path / "inst.json", tmp_path / "basis.json"
+    rejected = 0
+    for inst in edge_instances(rng, p, 30):
+        inst_path.write_text(json.dumps(instance_to_json(inst)))
+        basis, delta = popov_mib(inst)
+        basis_path.write_text(json.dumps(basis_to_json(basis, delta)))
+        assert main(["check", str(inst_path), str(basis_path)]) == 0
+        capsys.readouterr()
+        for i in range(inst.m):
+            rows = [list(r) for r in basis.rows]
+            rows[i] = [[0] + e if e else [] for e in rows[i]]
+            sub = PolyMat(inst.field, rows)
+            if not is_popov(sub, inst.shift):
+                continue
+            bumped = [d + (j == i) for j, d in enumerate(delta)]
+            basis_path.write_text(json.dumps(basis_to_json(sub, bumped)))
+            if bumped[i] > inst.sigma:
+                assert main(["check", str(inst_path), str(basis_path)]) == 1
+                continue
+            assert main(["check", str(inst_path), str(basis_path)]) == 2
+            assert capsys.readouterr().out.splitlines() == [
+                "popov-form: ok",
+                "zero-residual: ok",
+                "degree-sum: FAIL",
+            ]
+            rejected += 1
+    assert rejected
+
+
+def test_oversized_explicit_supports_fail_fast(tmp_path, capsys):
+    # 16 and 20 tuples of total degree up to 15 and 19: the box of 16**6
+    # or 20**8 derivative indices is never enumerated
+    for num_y, size in ((6, 16), (8, 20)):
+        support = [[k] + [0] * num_y for k in range(size)]
+        path = tmp_path / f"gs{num_y}.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "p": 97,
+                    "num_y": num_y,
+                    "exponents": [[0] * num_y],
+                    "points": [[1, [0] * num_y]],
+                    "multiplicities": [support],
+                    "weights": [0] * num_y,
+                }
+            )
+        )
+        start = time.perf_counter()
+        assert main(["gs-interp", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "triangular" in capsys.readouterr().err
 
 
 def test_engine_fault_is_internal_error(instance_file, monkeypatch, capsys):
@@ -357,7 +420,8 @@ def test_check_bounds_basis_entries_by_sigma(tmp_path, capsys):
         json.dumps({"p": 97, "m": 2, "jordan": [[0, [4]]], "E": [[0, 1, 0, 0], [0, 0, 0, 0]], "shift": [0, 0]})
     )
     basis = tmp_path / "basis.json"
-    # diag(X^4, 1): Popov interpolants, but delta sums to 4 > colength 3
+    # diag(X^4, 1): Popov interpolants, but delta sums to 4 > colength 3,
+    # so the staircase rows X**k . E_0, k < 4, are dependent
     basis.write_text(json.dumps({"p": 97, "basis": [[[0, 0, 0, 0, 1], []], [[], [1]]], "delta": [4, 0]}))
     assert main(["check", str(inst), str(basis)]) == 2
     out = capsys.readouterr().out

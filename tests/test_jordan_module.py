@@ -11,7 +11,6 @@ from popov_interp.jordan_module import (
     residual,
     residual_direct,
     strided_powers,
-    x_powers,
 )
 
 F = Modulus(97)
@@ -225,23 +224,6 @@ def test_residual_slabs_equal_direct(rng, monkeypatch):
             pmat, rows, spec = _random_residual_case(rng, p)
             direct = residual_direct(pmat, rows.tolist(), spec)
             assert residual(pmat, rows, spec).tolist() == direct
-
-
-def test_x_powers_matches_dense_jordan(rng):
-    for p in PRIMES:
-        field = Modulus(p)
-        for _ in range(10):
-            sigma = rng.randint(1, 10)
-            m = rng.randint(1, 3)
-            spec = JordanSpec(tuple(_random_blocks(rng, sigma, p)))
-            rows = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
-            d = rng.randint(0, 2 * sigma)
-            krylov = x_powers(rows, spec, field, d)
-            assert krylov.shape == (d + 1, m, sigma)
-            for k in range(d + 1):
-                monomial = [0] * k + [1]  # X**k
-                for j in range(m):
-                    assert krylov[k, j].tolist() == _apply_via_matrix(monomial, rows[j], spec, p)
 
 
 def test_strided_powers_matches_dense_jordan(rng):

@@ -2,7 +2,15 @@
 
 import pytest
 
-from conftest import MIB_ENGINE, POPOV_MIB, capture, leading_at, mib_splits, random_instance
+from conftest import (
+    MIB_ENGINE,
+    POPOV_MIB,
+    capture,
+    dense_krylov_rank,
+    leading_at,
+    mib_splits,
+    random_instance,
+)
 from popov_interp import (
     InterpInstance,
     JordanSpec,
@@ -22,7 +30,6 @@ from popov_interp import (
     weak_popov_to_popov,
 )
 from popov_interp.apps import adversarial_instance, approximant_instance
-from popov_interp.cli import _colength
 from popov_interp.ff_poly import poly_add, poly_deg, poly_shift_up
 from popov_interp.linalg import inv_mod
 from popov_interp.polymat import pivot_degrees
@@ -335,7 +342,7 @@ def test_popov_mib_matches_iterative_int64_edge(rng):
         basis, delta = popov_mib(inst)
         assert (basis, delta) == iterative_mib(inst)
         assert all(interpolant_check(row, inst) for row in basis.rows)
-        assert sum(delta) == _colength(inst)
+        assert sum(delta) == dense_krylov_rank(inst)
         b = [si + di for si, di in zip(shift, delta)]
         for bound in (max(b) - 1, max(b)):
             want = sum(max(0, bound - bi + 1) for bi in b)

@@ -22,7 +22,6 @@ from .polymat import (
     PivotProfile,
     PolyMat,
     column_degree,
-    determinant,
     is_popov,
     is_reduced,
     is_weak_popov,
@@ -45,7 +44,6 @@ __all__ = [
     "PolyMat",
     "build_expansion",
     "column_degree",
-    "determinant",
     "interpolant_check",
     "is_popov",
     "is_reduced",

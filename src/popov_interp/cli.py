@@ -74,12 +74,13 @@ def _load_json(path: str) -> dict:
 
 
 def _check_integers(value, path: str) -> None:
-    """Reject every number in a JSON document that is not an integer.
+    """Reject every boolean, float and string value in a JSON document;
+    object keys stay strings.
 
-    Booleans and floats would otherwise pass as integers (``true`` as 1)
-    or be truncated where they are packed into int64 arrays.
+    They would otherwise pass as integers (``true`` as 1, ``"3"`` through
+    ``int()``) or be truncated where they are packed into int64 arrays.
     """
-    if isinstance(value, (bool, float)):
+    if isinstance(value, (bool, float, str)):
         raise InputError(f"{path}: {json.dumps(value)} is not an integer")
     if isinstance(value, (list, dict)):
         for v in value.values() if isinstance(value, dict) else value:

@@ -184,23 +184,11 @@ def poly_sub(a: Poly, b: Poly, p: int) -> Poly:
     return poly_trim(out)
 
 
-def poly_neg(a: Poly, p: int) -> Poly:
-    return [(-c) % p for c in a]
-
-
 def poly_scale(a: Poly, c: int, p: int) -> Poly:
     c %= p
     if c == 0:
         return []
     return [c * v % p for v in a]
-
-
-def poly_sub_scaled(a: Poly, b: Poly, c: int, p: int) -> Poly:
-    """a - c*b, trimmed."""
-    out = list(a) + [0] * (len(b) - len(a))
-    for t, v in enumerate(b):
-        out[t] = (out[t] - c * v) % p
-    return poly_trim(out)
 
 
 def poly_mul_schoolbook(a: Poly, b: Poly, p: int) -> Poly:
@@ -292,13 +280,6 @@ def poly_mul_trunc(a: Poly, b: Poly, k: int, field: Modulus) -> Poly:
     if k <= 0 or not a or not b:
         return []
     return poly_trim(poly_mul(a[:k], b[:k], field)[:k])
-
-
-def poly_shift_up(a: Poly, k: int) -> Poly:
-    """a * X**k."""
-    if not a:
-        return []
-    return [0] * k + a
 
 
 def poly_divrem(a: Poly, b: Poly, field: Modulus):

@@ -145,9 +145,14 @@ GS = {"p": 97, "num_y": 1, "exponents": [[0], [1]], "points": [[0, [1]]],
     ("order-basis", {"p": 97, "F": [[[2.5]], [[1]]], "orders": [2], "shift": [0, 0]}),
     ("gs-interp", {**GS, "points": [[1.7, [1]]]}),
     ("gs-interp", {**GS, "multiplicities": [2.0]}),
-], ids=["solve-E", "solve-shift", "check-basis", "order-basis", "gs-point", "gs-multiplicity"])
+    ("check", {"p": 97, "basis": [[[0, 1], []], [[96], [1]]], "delta": ["1", " 0"]}),
+    ("order-basis", {"p": 97, "F": [[[2]], [[1]]], "orders": ["2"], "shift": ["0", 0]}),
+    ("gs-interp", {**GS, "num_y": "1"}),
+], ids=["solve-E", "solve-shift", "check-basis", "order-basis", "gs-point", "gs-multiplicity",
+        "check-delta", "order-basis-orders", "gs-num_y"])
 def test_loaders_reject_floats_and_booleans(command, payload, instance_file, tmp_path, capsys):
-    # each would otherwise be read as an integer, truncated, or fail inside
+    # each would otherwise be read as an integer (a string through int()),
+    # truncated, or fail inside
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     args = [command, str(instance_file), str(path)] if command == "check" else [command, str(path)]

@@ -7,7 +7,6 @@ from popov_interp import (
     InterpInstance,
     JordanSpec,
     Modulus,
-    determinant,
     interpolant_check,
     is_popov,
     is_weak_popov,
@@ -19,6 +18,7 @@ from popov_interp import (
 )
 from popov_interp.ff_poly import poly_deg
 from popov_interp.polymat import pivot_degrees
+from reference import determinant
 
 F = Modulus(97)
 

@@ -2,12 +2,11 @@
 
 import pytest
 
-from conftest import poly_eval
+from conftest import poly_eval, random_instance
 from popov_interp import (
     Modulus,
     PolyMat,
     column_degree,
-    determinant,
     is_popov,
     is_reduced,
     is_weak_popov,
@@ -18,7 +17,8 @@ from popov_interp import (
     weak_popov_to_popov,
 )
 from popov_interp.ff_poly import NEG_INF, poly_add, poly_deg, poly_mul
-from popov_interp.polymat import pivot_degrees, row_sdeg
+from popov_interp.polymat import pivot_degrees
+from reference import determinant
 
 F = Modulus(97)
 
@@ -146,8 +146,12 @@ def test_weak_popov_to_popov_fixpoint():
 
 
 def test_weak_popov_to_popov_single_reduction():
-    w = M([[X, []], [[96, 1], ONE]])  # rows X,0 / X-1,1
-    assert weak_popov_to_popov(w, (0, 0)).rows == [[X, []], [[96], ONE]]
+    # rows X**2, X / 1, X: row 0 loses row 1 once
+    w = M([[[0, 0, 1], X], [ONE, X]])
+    assert weak_popov_to_popov(w, (0, 0)).rows == [[[96, 0, 1], []], [ONE, X]]
+    # rows X, 0 / X-1, 1 share pivot index 0: not weak Popov
+    with pytest.raises(ValueError, match="not in s-weak Popov form"):
+        weak_popov_to_popov(M([[X, []], [[96, 1], ONE]]), (0, 0))
 
 
 def test_weak_popov_to_popov_rejects_singular():
@@ -166,36 +170,23 @@ def _random_unimodular(rng, n, deg):
 
 
 def test_generate_and_recover_popov(rng):
-    # left-multiply a Popov matrix by a random unimodular; whenever the
-    # product is still weak Popov, normalization recovers the original
+    # left-multiply a Popov matrix by a random unimodular: a product in
+    # s-weak Popov form normalizes back to the original, any other product
+    # is outside the normalization's contract and raises
     from popov_interp import iterative_mib
-    from conftest import random_instance
 
-    recovered = 0
-    while recovered < 10:
+    recovered = rejected = 0
+    while recovered < 10 or rejected < 15:
         inst = random_instance(rng, sigma_range=(1, 10), m_range=(2, 4))
         popov, _ = iterative_mib(inst)
-        w = matmul(_random_unimodular(rng, inst.m, 2), popov)
-        try:
-            if not is_weak_popov(w, inst.shift):
-                continue
-        except ValueError:
-            continue
-        assert weak_popov_to_popov(w, inst.shift).rows == popov.rows
-        recovered += 1
-
-
-def test_normalization_of_arbitrary_unimodular_multiples(rng):
-    # beyond the contract: any nonsingular multiple of a Popov matrix,
-    # weak Popov or not, normalizes back to it
-    from popov_interp import iterative_mib
-    from conftest import random_instance
-
-    for _ in range(15):
-        inst = random_instance(rng, sigma_range=(1, 10), m_range=(2, 4))
-        popov, _ = iterative_mib(inst)
-        w = matmul(_random_unimodular(rng, inst.m, 3), popov)
-        assert weak_popov_to_popov(w, inst.shift).rows == popov.rows
+        w = matmul(_random_unimodular(rng, inst.m, rng.choice((2, 3))), popov)
+        if is_weak_popov(w, inst.shift):
+            assert weak_popov_to_popov(w, inst.shift).rows == popov.rows
+            recovered += 1
+        else:
+            with pytest.raises(ValueError, match="not in s-weak Popov form"):
+                weak_popov_to_popov(w, inst.shift)
+            rejected += 1
 
 
 def test_matmul_examples(rng):
@@ -311,20 +302,18 @@ def test_constructor_rejects_non_residues():
 def test_weak_popov_row_degree_det_identity(rng):
     # sum of s-row degrees = deg det + sum of shifts, for weak Popov matrices
     from popov_interp import iterative_weak_popov
-    from conftest import random_instance
 
     for _ in range(10):
         inst = random_instance(rng, sigma_range=(1, 10), m_range=(1, 4))
         w, _ = iterative_weak_popov(inst)
         det = determinant(w)
-        total = sum(row_sdeg(row, inst.shift) for row in w.rows)
+        total = sum(shifted_row_degree(w, inst.shift))
         assert total == poly_deg(det) + sum(inst.shift)
 
 
 def test_pivot_degree_composition(rng):
     # diagonal weak Popov compatibility with matrix products
     from popov_interp import iterative_weak_popov
-    from conftest import random_instance
 
     for _ in range(10):
         inst1 = random_instance(rng, sigma_range=(1, 12), m_range=(2, 4))
@@ -343,14 +332,53 @@ def test_pivot_degree_composition(rng):
 
 def test_normalization_preserves_pivot_degrees(rng):
     from popov_interp import iterative_weak_popov
-    from conftest import random_instance
 
-    for _ in range(10):
-        inst = random_instance(rng, sigma_range=(1, 12), m_range=(1, 4))
-        w, dw = iterative_weak_popov(inst)
-        popov = weak_popov_to_popov(w, inst.shift)
-        assert is_popov(popov, inst.shift)
-        assert tuple(len(popov.rows[i][i]) - 1 for i in range(inst.m)) == dw
+    for p in PRIMES:
+        for _ in range(10):
+            inst = random_instance(
+                rng, p=p, sigma_range=(1, 12), m_range=(1, 4), max_eigs=min(p, 4)
+            )
+            w, dw = iterative_weak_popov(inst)
+            popov = weak_popov_to_popov(w, inst.shift)
+            assert is_popov(popov, inst.shift)
+            assert tuple(len(popov.rows[i][i]) - 1 for i in range(inst.m)) == dw
+
+
+def test_normalization_entries_are_bounded_independently_of_the_shift(rng, monkeypatch):
+    # every operand and result of the reduction's subtractions has at most
+    # len(w) + max(delta) coefficients, len(w) the longest entry of w,
+    # even where the shift spreads out to 2**70; past sigma = LEAF * m the
+    # Mib's basis is a product of its halves
+    from popov_interp import iterative_mib, iterative_weak_popov, minimal_interpolation_basis
+    from popov_interp import polymat
+
+    lengths = []
+
+    def poly_sub(a, b, p):
+        out = list_sub(a, b, p)
+        lengths.append(max(len(a), len(b), len(out)))
+        return out
+
+    list_sub = polymat.poly_sub
+    monkeypatch.setattr(polymat, "poly_sub", poly_sub)
+    subs = 0
+    for p in PRIMES:
+        for trial in range(24):
+            inst = random_instance(
+                rng, p=p, sigma_range=(1, 96), m_range=(2, 4), max_eigs=min(p, 4)
+            )
+            big = (0, 2**20, 2**70)[trial % 3]
+            inst.shift = tuple(
+                rng.randint(-40, 40) + rng.choice((0, big, -big)) for _ in range(inst.m)
+            )
+            popov, delta = iterative_mib(inst)
+            for engine in (iterative_weak_popov, minimal_interpolation_basis):
+                w, _ = engine(inst)
+                lengths.clear()
+                assert weak_popov_to_popov(w, inst.shift) == popov
+                assert max(lengths, default=0) <= w.coeffs.shape[2] + max(delta)
+                subs += len(lengths)
+    assert subs > 100
 
 
 def test_determinant_small():

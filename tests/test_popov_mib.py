@@ -30,7 +30,7 @@ from popov_interp import (
     weak_popov_to_popov,
 )
 from popov_interp.apps import adversarial_instance, approximant_instance
-from popov_interp.ff_poly import poly_add, poly_deg, poly_shift_up
+from popov_interp.ff_poly import poly_add, poly_deg
 from popov_interp.linalg import inv_mod
 from popov_interp.polymat import pivot_degrees
 
@@ -201,7 +201,7 @@ def _compress(row, plan):
         acc = []
         for k in range(a):
             if row[off + k]:
-                acc = poly_add(acc, poly_shift_up(row[off + k], k * plan.chunk), F.p)
+                acc = poly_add(acc, [0] * (k * plan.chunk) + row[off + k], F.p)
         out.append(acc)
     return out
 

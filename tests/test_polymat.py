@@ -170,9 +170,25 @@ def _random_unimodular(rng, n, deg):
 
 
 def test_generate_and_recover_popov(rng):
-    # left-multiply a Popov matrix by a random unimodular: a product in
-    # s-weak Popov form normalizes back to the original, any other product
-    # is outside the normalization's contract and raises
+    # left-multiply a Popov matrix by a random unimodular; whenever the
+    # product is still weak Popov, normalization recovers the original
+    from popov_interp import iterative_mib
+
+    recovered = 0
+    while recovered < 10:
+        inst = random_instance(rng, sigma_range=(1, 10), m_range=(2, 4))
+        popov, _ = iterative_mib(inst)
+        w = matmul(_random_unimodular(rng, inst.m, 2), popov)
+        if not is_weak_popov(w, inst.shift):
+            continue
+        assert weak_popov_to_popov(w, inst.shift).rows == popov.rows
+        recovered += 1
+
+
+def test_normalization_of_arbitrary_unimodular_multiples(rng):
+    # any nonsingular multiple of a Popov matrix either is in s-weak Popov
+    # form and normalizes back to it, or is outside the normalization's
+    # contract and raises
     from popov_interp import iterative_mib
 
     recovered = rejected = 0

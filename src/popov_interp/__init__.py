@@ -7,7 +7,7 @@ decoding, for arbitrary degree shifts.  Every solver output can be
 cross-checked against an independent brute-force kernel oracle.
 """
 
-from .ff_poly import Modulus, taylor_shift
+from .ff_poly import Modulus
 from .jordan_module import JordanSpec, residual, standardize
 from .mib_engine import (
     InterpInstance,
@@ -19,15 +19,10 @@ from .mib_engine import (
     minimal_interpolation_basis,
 )
 from .polymat import (
-    PivotProfile,
     PolyMat,
-    column_degree,
     is_popov,
-    is_reduced,
     is_weak_popov,
     matmul,
-    pivot_profile,
-    shifted_leading_matrix,
     shifted_row_degree,
     weak_popov_to_popov,
 )
@@ -40,13 +35,10 @@ __all__ = [
     "InterpInstance",
     "JordanSpec",
     "Modulus",
-    "PivotProfile",
     "PolyMat",
     "build_expansion",
-    "column_degree",
     "interpolant_check",
     "is_popov",
-    "is_reduced",
     "is_weak_popov",
     "iterative_mib",
     "iterative_weak_popov",
@@ -55,12 +47,9 @@ __all__ = [
     "matmul",
     "minimal_degree",
     "minimal_interpolation_basis",
-    "pivot_profile",
     "popov_mib",
     "residual",
-    "shifted_leading_matrix",
     "shifted_row_degree",
     "standardize",
-    "taylor_shift",
     "weak_popov_to_popov",
 ]

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from .ff_poly import Modulus, Poly, poly_deg, poly_trim, taylor_prefix
-from .jordan_module import standardize
+from .ff_poly import Modulus, Poly, poly_trim, taylor_prefix
+from .jordan_module import JordanSpec
 from .mib_engine import InterpInstance, MinimalDegree
 from .polymat import PolyMat
 from .popov_mib import popov_mib
@@ -47,10 +47,9 @@ class ApproximantProblem:
             raise ValueError("one order per column of F is required")
         if len(self.shift) != self.F.nrows:
             raise ValueError("shift length must equal the number of rows of F")
-        for j, o in enumerate(self.orders):
-            for i in range(self.F.nrows):
-                if poly_deg(self.F.rows[i][j]) >= o:
-                    raise ValueError(f"column {j} of F must have degree below {o}")
+        for j, (n, o) in enumerate(zip(self.F.lengths.max(0).tolist(), self.orders)):
+            if n > o:
+                raise ValueError(f"column {j} of F must have degree below {o}")
 
 
 @dataclass
@@ -95,6 +94,12 @@ class GSProblem:
     def m(self) -> int:
         return len(self.exponents)
 
+    @property
+    def sigma(self) -> int:
+        """The number of constraints, comb(mu + r, r + 1) per point."""
+        r = self.num_y
+        return sum(comb(_multiplicity_of(sup, r) + r, r + 1) for sup in self.multiplicities)
+
 
 def _derivative_indices(mu: int, r: int) -> List[Tuple[int, ...]]:
     """All b in N**r with |b| < mu, graded lexicographic."""
@@ -138,7 +143,8 @@ def gs_instance(prob: GSProblem) -> InterpInstance:
     b with |b| < mu_k; the block column of row gamma holds the constant
     prod_i C(gamma_i, b_i) * y_i**(gamma_i - b_i) in its degree-0 slot,
     which encodes the Hasse-derivative vanishing conditions.  The shift
-    is the weighted Y-degree of each monomial.
+    is the weighted Y-degree of each monomial.  Blocks come point by
+    point, as generated: no engine reads the block order.
     """
     field = prob.field
     p = field.p
@@ -175,8 +181,7 @@ def gs_instance(prob: GSProblem) -> InterpInstance:
         rows.append(row)
 
     shift = tuple(sum(g * w for g, w in zip(ex, prob.weights)) for ex in prob.exponents)
-    jordan, rows = standardize(blocks, rows)
-    return InterpInstance(field, rows, jordan, shift)
+    return InterpInstance(field, rows, JordanSpec(tuple(blocks)), shift)
 
 
 def approximant_instance(prob: ApproximantProblem) -> InterpInstance:
@@ -193,8 +198,7 @@ def approximant_instance(prob: ApproximantProblem) -> InterpInstance:
             e = prob.F.rows[i][j]
             row.extend(list(e) + [0] * (o - len(e)))
         rows.append(row)
-    jordan, rows = standardize(blocks, rows)
-    return InterpInstance(prob.field, rows, jordan, prob.shift)
+    return InterpInstance(prob.field, rows, JordanSpec(tuple(blocks)), prob.shift)
 
 
 def order_basis(prob: ApproximantProblem) -> Tuple[PolyMat, MinimalDegree]:

@@ -4,7 +4,9 @@ Subcommands: solve, check, bench, order-basis, gs-interp, adversarial.
 Instances and results are JSON; coefficients are plain integers in
 [0, p), low degree first, with [] as the zero polynomial.  Exit codes:
 0 success, 1 input error, 2 verification failure or engine mismatch,
-3 internal error.
+3 internal error.  An input file that cannot be read or parsed, and an
+instance that order-basis, gs-interp, adversarial or bench would size
+past ``MAX_CELLS``, are input errors.
 
 ``check`` rejects a basis entry of more than sigma + 1 coefficients as
 an input error before sizing anything by it.  No basis that passes is
@@ -56,20 +58,37 @@ from .popov_mib import popov_mib
 
 OK, INPUT_ERROR, CHECK_FAILED, INTERNAL_ERROR = 0, 1, 2, 3
 
+# the largest m*m*(sigma+1) of an instance sized from a few integers
+MAX_CELLS = 1 << 24
+
 
 class InputError(Exception):
     pass
 
 
+def _check_size(m: int, sigma: int) -> None:
+    """Reject m rows and sigma constraints before anything is built.
+
+    The m x m basis is one packed array of up to m*m*(sigma+1) int64
+    coefficients, about as many as iterative_weak_popov's, so MAX_CELLS
+    (8x the 16 rows at sigma 8192 that bench and the tests reach) keeps
+    each near 128 MB at most.
+    """
+    if m * m * (sigma + 1) > MAX_CELLS:
+        raise InputError(f"m = {m}, sigma = {sigma}: m*m*(sigma+1) exceeds {MAX_CELLS}")
+
+
 def _load_json(path: str) -> dict:
+    # ValueError: not UTF-8, not JSON or past the digit limit; RecursionError: too deep
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if isinstance(data, dict):
+            _check_integers(data, path)
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
-    _check_integers(data, path)
     return data
 
 
@@ -230,6 +249,7 @@ def cmd_bench(args) -> int:
         raise InputError(f"bad bench arguments: {exc}") from exc
     if args.m < 1 or args.trials < 1 or any(sg < 0 for sg in sigmas):
         raise InputError("bench needs --m >= 1, --trials >= 1 and nonnegative --sigmas")
+    _check_size(args.m, max(sigmas, default=0))
     lines = ["engine,m,sigma,median_ms"]
     for sigma in sigmas:
         for engine, solver in (("popov", popov_mib), ("iterative", iterative_mib)):
@@ -261,7 +281,9 @@ def load_approximant(path: str) -> ApproximantProblem:
 
 
 def cmd_order_basis(args) -> int:
-    basis, delta = order_basis(load_approximant(args.problem))
+    prob = load_approximant(args.problem)
+    _check_size(prob.F.nrows, sum(prob.orders))
+    basis, delta = order_basis(prob)
     _write_out(basis_to_json(basis, delta), args.out)
     return OK
 
@@ -285,6 +307,7 @@ def load_gs(path: str) -> GSProblem:
 def cmd_gs_interp(args) -> int:
     prob = load_gs(args.problem)
     try:
+        _check_size(prob.m, prob.sigma)
         inst = gs_instance(prob)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -296,6 +319,7 @@ def cmd_gs_interp(args) -> int:
 
 
 def cmd_adversarial(args) -> int:
+    _check_size(2 * args.m, args.sigma)
     try:
         prob = adversarial_instance(args.m, args.sigma, args.seed, Modulus(args.p))
     except ValueError as exc:

@@ -18,12 +18,11 @@ and the multivariate vanishing check read only such prefixes, and
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List
 
 import numpy as np
 
 Poly = List[int]
-Degree = Union[int, float]
 
 NEG_INF = float("-inf")
 
@@ -162,10 +161,6 @@ def poly_trim(c: Poly) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def poly_deg(a: Poly) -> Degree:
-    return len(a) - 1 if a else NEG_INF
 
 
 def poly_add(a: Poly, b: Poly, p: int) -> Poly:

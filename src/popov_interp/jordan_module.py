@@ -10,8 +10,7 @@ or on eigenvalues being grouped.
 
 Module matrices E are ``(m, sigma)`` int64 arrays of residues:
 ``standardize`` permutes their columns into the paper's standard
-representation, once, where an instance is made, and ``residual``
-returns one.
+representation, and ``residual`` returns one.
 The engines build every row ``X**k . E_j`` they read with one routine,
 ``strided_powers``: residuals ``P . E`` of a polynomial matrix against a
 module matrix use ``p . e = sum_k p_k * (X**k . e)``, the coefficients of
@@ -105,8 +104,7 @@ def standardize(blocks: Iterable[Block], rows) -> Tuple[JordanSpec, np.ndarray]:
     groups sort by non-increasing count with ties broken by ascending
     eigenvalue; the same block permutation is applied to the column
     blocks of the given module rows, which come back as an array.  The
-    engines accept any block order; this is the canonical one the
-    instance generators hand them.
+    engines accept any block order, so this is only a canonical one.
     """
     spec = JordanSpec(tuple(blocks))
     rows = np.asarray(rows)

@@ -3,15 +3,16 @@
 A shift attaches an integer weight to each column; the s-degree of a row
 is max_j (deg(row[j]) + s[j]).  The pivot of a nonzero row is the
 rightmost entry reaching the s-degree.  On top of pivots this module
-provides the reduced / weak Popov / Popov predicates and the
-normalization from s-weak Popov form to the canonical s-Popov form.
+provides the s-row degrees, the weak Popov and Popov predicates, the
+product, and the normalization from s-weak Popov form to the canonical
+s-Popov form.
 
 A matrix is one packed int64 coefficient array, ``coeffs``, with its
 entry lengths: the canonical s-Popov basis always fits in m*(sigma+1)
 coefficients, so one array holds every basis the library returns.  The
 grid of coefficient lists ``rows`` is a view derived from the array.
 ``matmul``, the residual, the known-degree rebuild, the s-degrees and
-the pivot predicates read the array and the lengths.  The normalization
+the predicates read the array and the lengths.  The normalization
 ``weak_popov_to_popov`` works on the rows.  Its intermediate entries are
 bounded independently of the shift (see its docstring), so the rows are
 not needed for size; an array version with an exact Toeplitz product
@@ -24,14 +25,12 @@ independent of the engines.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from . import linalg
 from .ff_poly import (
     NEG_INF,
-    Degree,
     Modulus,
     Poly,
     poly_divrem,
@@ -42,13 +41,6 @@ from .ff_poly import (
 )
 
 Shift = Tuple[int, ...]
-
-
-class PivotProfile(NamedTuple):
-    """Pivot of a nonzero row: 0-based column index and entry degree."""
-
-    index: int
-    degree: int
 
 
 class PolyMat:
@@ -189,23 +181,6 @@ def _pivot_index(lengths: Iterable[int], s: Sequence[int]) -> int:
     return idx
 
 
-def pivot_profile(row, s: Sequence[int]) -> PivotProfile:
-    """Rightmost entry reaching the s-degree, with its degree.
-
-    Accepts either a sequence of polynomials or a 1 x m matrix.
-    """
-    if isinstance(row, PolyMat):
-        if row.nrows != 1:
-            raise ValueError("pivot profile is defined for a single row")
-        lengths = row.lengths[0].tolist()
-    else:
-        lengths = [len(e) for e in row]
-    idx = _pivot_index(lengths, s)
-    if idx < 0:
-        raise ValueError("zero row has no s-degree")
-    return PivotProfile(idx, lengths[idx] - 1)
-
-
 def _pivots(m: PolyMat, s: Shift) -> List[int]:
     """Each row's pivot index, -1 for a zero row."""
     return [_pivot_index(lens, s) for lens in m.lengths.tolist()]
@@ -220,24 +195,6 @@ def shifted_row_degree(m: PolyMat, s: Sequence[int]) -> List[int]:
             raise ValueError("zero row has no s-degree")
         out.append(lens[j] - 1 + s[j])
     return out
-
-
-def shifted_leading_matrix(m: PolyMat, s: Sequence[int]) -> List[List[int]]:
-    """Coefficient of degree d_i - s_j of entry (i, j), d the s-row degree."""
-    s = _check_shift(m.ncols, s)
-    # past an entry's length the packed array holds zeros
-    return [
-        [e[d - sj] if 0 <= d - sj < len(e) else 0 for e, sj in zip(row, s)]
-        for row, d in zip(m.coeffs.tolist(), shifted_row_degree(m, s))
-    ]
-
-
-def is_reduced(m: PolyMat, s: Sequence[int]) -> bool:
-    """True iff the s-leading matrix has full row rank."""
-    s = _check_shift(m.ncols, s)
-    if not m.lengths.any(1).all():
-        return False
-    return linalg.rank_mod(shifted_leading_matrix(m, s), m.field.p) == m.nrows
 
 
 def is_weak_popov(m: PolyMat, s: Sequence[int], diagonal: bool = False) -> bool:
@@ -271,21 +228,6 @@ def is_popov(m: PolyMat, s: Sequence[int]) -> bool:
     return _pivots(m, s) == diag.tolist()
 
 
-def pivot_degrees(m: PolyMat, s: Sequence[int]) -> Tuple[int, ...]:
-    """Pivot degree per pivot index, for a matrix in s-weak Popov form."""
-    s = _check_shift(m.ncols, s)
-    out = [-1] * m.ncols
-    for lens, j in zip(m.lengths.tolist(), _pivots(m, s)):
-        if j < 0:
-            raise ValueError("zero row has no s-degree")
-        if out[j] >= 0:
-            raise ValueError("duplicate pivot index: not in weak Popov form")
-        out[j] = lens[j] - 1
-    if any(v < 0 for v in out):
-        raise ValueError("missing pivot index: not in weak Popov form")
-    return tuple(out)
-
-
 # about how many int64 entries matmul's padded pair products hold at once
 _MATMUL_SLAB = 1 << 18
 
@@ -296,9 +238,10 @@ def matmul(a: PolyMat, b: PolyMat) -> PolyMat:
     Every pair (a_ik, b_kl) of nonzero entries contributes the outer
     product of their coefficient vectors; shifting row t of that block
     right by t and summing the rows gives the convolution a_ik * b_kl,
-    which is accumulated into entry (i, l).  Pairs are taken in slabs
-    whose padded products hold about ``_MATMUL_SLAB`` entries, to bound
-    memory.
+    which is accumulated into entry (i, l).  To bound memory, a's
+    degrees are taken in runs and the pairs in slabs, so that the padded
+    products of a slab hold about ``_MATMUL_SLAB`` entries however long
+    the entries are.
     """
     if a.field != b.field:
         raise ValueError("mismatched moduli")
@@ -313,25 +256,25 @@ def matmul(a: PolyMat, b: PolyMat) -> PolyMat:
     # each below 2**62 as p < 2**31; they are reduced first unless that
     # sum stays within int64 as it is
     reduce = a.ncols * min(da, db) * (p - 1) ** 2 >= 2**63
-    width = da + db  # rows padded so that reading them one shorter skews them
-    per_slab = max(1, _MATMUL_SLAB // max(1, da * width))
-    for lo in range(0, ii.size, per_slab):
-        i, k, l = ii[lo : lo + per_slab], kk[lo : lo + per_slab], ll[lo : lo + per_slab]
-        n = i.size
-        prod = np.zeros((n, da, width), dtype=np.int64)
-        block = prod[:, :, :db]
-        np.multiply(ac[i, k, :, None], bc[k, l, None, :], out=block)
-        if reduce:
-            np.remainder(block, p, out=block)
-        conv = prod.reshape(n, da * width)[:, : da * (width - 1)].reshape(n, da, width - 1)
-        np.add.at(out, (i, l), conv.sum(1))
+    # a pair's padded product has run rows of run + db, about a slab at most
+    run = max(1, min(da, _MATMUL_SLAB // max(1, da + db)))
+    per_slab = max(1, _MATMUL_SLAB // (run * (run + db)))
+    for t in range(0, da, run):
+        at = ac[:, :, t : t + run]
+        r = at.shape[2]
+        width = r + db  # rows padded so that reading them one shorter skews them
+        for lo in range(0, ii.size, per_slab):
+            i, k, l = ii[lo : lo + per_slab], kk[lo : lo + per_slab], ll[lo : lo + per_slab]
+            n = i.size
+            prod = np.zeros((n, r, width), dtype=np.int64)
+            block = prod[:, :, :db]
+            np.multiply(at[i, k, :, None], bc[k, l, None, :], out=block)
+            if reduce:
+                np.remainder(block, p, out=block)
+            conv = prod.reshape(n, r * width)[:, : r * (width - 1)].reshape(n, r, width - 1)
+            np.add.at(out[:, :, t : t + width - 1], (i, l), conv.sum(1))
     np.remainder(out, p, out=out)
     return PolyMat.from_coeffs(a.field, out)
-
-
-def column_degree(m: PolyMat) -> List[Degree]:
-    """Per-column max degree; NEG_INF for a zero column."""
-    return [n - 1 if n else NEG_INF for n in m.lengths.max(0).tolist()]
 
 
 def weak_popov_to_popov(w: PolyMat, s: Sequence[int]) -> PolyMat:

@@ -4,7 +4,12 @@ They share no code path with the engines: each works on ``PolyMat.rows``
 with the ``ff_poly`` list helpers.
 """
 
-from popov_interp.ff_poly import Poly, poly_divrem, poly_mul, poly_sub
+from popov_interp.ff_poly import NEG_INF, Poly, poly_divrem, poly_mul, poly_sub
+
+
+def poly_deg(a: Poly):
+    """The degree of a list polynomial, ``NEG_INF`` for zero."""
+    return len(a) - 1 if a else NEG_INF
 
 
 def determinant(m) -> Poly:

@@ -85,9 +85,17 @@ def test_check_rejects_wrong_dimension_basis(instance_file, tmp_path):
 
 def test_solve_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["solve", str(bad)]) == 1
-    assert "error" in capsys.readouterr().err
+    cases = [
+        b"{not json",
+        b'{"p": 97, "E": [[\xff]]}',  # not UTF-8
+        b'{"p": ' + b"9" * 5000 + b"}",  # past Python's integer digit limit
+        b'{"p": 97, "E": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # past the stack
+    ]
+    for text in cases:
+        bad.write_bytes(text)
+        assert main(["solve", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read")
 
 
 def test_solve_invalid_instance(tmp_path):
@@ -407,6 +415,35 @@ def test_engine_fault_is_internal_error(instance_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "popov_mib", broken)
     assert main(["solve", str(instance_file)]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["order-basis", "gs-interp", "adversarial", "bench"])
+def test_derived_sizes_are_bounded(command, tmp_path, capsys):
+    # each asks for far past MAX_CELLS from a few integers, and is refused
+    # before anything is built
+    path = tmp_path / "problem.json"
+    big = {
+        "order-basis": {"p": 97, "F": [[[1]], [[2]]], "orders": [10**9], "shift": [0, 0]},
+        "gs-interp": {**GS, "multiplicities": [100_000]},
+    }
+    if command in big:
+        path.write_text(json.dumps(big[command]))
+        args = [command, str(path)]
+    else:
+        args = [command, "--m", "1000", "--sigma" + ("s" if command == "bench" else ""), "10000000"]
+    start = time.perf_counter()
+    assert main(args) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceed" in capsys.readouterr().err
+
+
+def test_size_bound_is_inclusive():
+    from popov_interp import cli
+
+    # m = 2: 4 * (sigma + 1) reaches MAX_CELLS at sigma = MAX_CELLS // 4 - 1
+    cli._check_size(2, cli.MAX_CELLS // 4 - 1)
+    with pytest.raises(cli.InputError, match="exceed"):
+        cli._check_size(2, cli.MAX_CELLS // 4)
 
 
 def test_bad_arguments_are_input_errors():

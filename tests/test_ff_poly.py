@@ -8,7 +8,6 @@ from popov_interp.ff_poly import (
     Modulus,
     binom_mod,
     poly_add,
-    poly_deg,
     poly_divrem,
     poly_mul,
     poly_mul_schoolbook,
@@ -18,6 +17,7 @@ from popov_interp.ff_poly import (
     taylor_prefix,
     taylor_shift,
 )
+from reference import poly_deg
 
 F97 = Modulus(97)
 FNTT = Modulus(998244353)

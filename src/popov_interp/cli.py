@@ -5,8 +5,8 @@ Instances and results are JSON; coefficients are plain integers in
 [0, p), low degree first, with [] as the zero polynomial.  Exit codes:
 0 success, 1 input error, 2 verification failure or engine mismatch,
 3 internal error.  An input file that cannot be read or parsed, and an
-instance that order-basis, gs-interp, adversarial or bench would size
-past ``MAX_CELLS``, are input errors.
+instance that any command would size past ``MAX_CELLS``, explicit
+files included, are input errors.
 
 ``check`` rejects a basis entry of more than sigma + 1 coefficients as
 an input error before sizing anything by it.  No basis that passes is
@@ -72,7 +72,9 @@ def _check_size(m: int, sigma: int) -> None:
     The m x m basis is one packed array of up to m*m*(sigma+1) int64
     coefficients, about as many as iterative_weak_popov's, so MAX_CELLS
     (8x the 16 rows at sigma 8192 that bench and the tests reach) keeps
-    each near 128 MB at most.
+    each near 128 MB at most.  While it runs, polymat.matmul holds both
+    operands' spectra: c limbs each, padded to under twice the product's
+    length, c = 3 near 2**31 at bench sizes (10x a 16 x 16 int64 output).
     """
     if m * m * (sigma + 1) > MAX_CELLS:
         raise InputError(f"m = {m}, sigma = {sigma}: m*m*(sigma+1) exceeds {MAX_CELLS}")
@@ -140,6 +142,7 @@ def load_instance(path: str) -> InterpInstance:
             raise ValueError("m does not match the number of rows of E")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad instance file {path}: {exc}") from exc
+    _check_size(inst.m, inst.sigma)
     return inst
 
 

@@ -1,24 +1,21 @@
 """Polynomial matrices with shifted-degree machinery.
 
 A shift attaches an integer weight to each column; the s-degree of a row
-is max_j (deg(row[j]) + s[j]).  The pivot of a nonzero row is the
-rightmost entry reaching the s-degree.  On top of pivots this module
-provides the s-row degrees, the weak Popov and Popov predicates, the
-product, and the normalization from s-weak Popov form to the canonical
-s-Popov form.
+is max_j (deg(row[j]) + s[j]), and its pivot is the rightmost entry
+reaching it.  This module provides the s-row degrees, the weak Popov and
+Popov predicates, the product, and the normalization from s-weak Popov
+form to the canonical s-Popov form.
 
 A matrix is one packed int64 coefficient array, ``coeffs``, with its
 entry lengths: the canonical s-Popov basis always fits in m*(sigma+1)
-coefficients, so one array holds every basis the library returns.  The
-grid of coefficient lists ``rows`` is a view derived from the array.
-``matmul``, the residual, the known-degree rebuild, the s-degrees and
-the predicates read the array and the lengths.  The normalization
-``weak_popov_to_popov`` works on the rows.  Its intermediate entries are
-bounded independently of the shift (see its docstring), so the rows are
-not needed for size; an array version with an exact Toeplitz product
-gave bit-identical bases but was 1.6-1.8x slower on the leaf-sized bases
-that ``iterative_mib`` normalizes, where each reduction touches a few
-short entries.  The verification oracle reads the rows too, to stay
+coefficients, so one array holds every basis the library returns, and
+the grid of coefficient lists ``rows`` is a view derived from it.
+``matmul`` multiplies arrays by evaluation and interpolation, one
+float64 FFT per limb of the residues, as PM-Basis does
+(Giorgi-Jeannerod-Villard, ISSAC 2003).  ``weak_popov_to_popov`` works
+on the rows: each reduction touches a few short entries, and an array
+version with an exact Toeplitz product was bit-identical but 1.6-1.8x
+slower.  The verification oracle reads the rows too, to stay
 independent of the engines.
 """
 
@@ -228,52 +225,47 @@ def is_popov(m: PolyMat, s: Sequence[int]) -> bool:
     return _pivots(m, s) == diag.tolist()
 
 
-# about how many int64 entries matmul's padded pair products hold at once
-_MATMUL_SLAB = 1 << 18
-
-
 def matmul(a: PolyMat, b: PolyMat) -> PolyMat:
-    """The product a * b, array to array.
+    """The product a * b, by evaluation and interpolation in float64.
 
-    Every pair (a_ik, b_kl) of nonzero entries contributes the outer
-    product of their coefficient vectors; shifting row t of that block
-    right by t and summing the rows gives the convolution a_ik * b_kl,
-    which is accumulated into entry (i, l).  To bound memory, a's
-    degrees are taken in runs and the pairs in slabs, so that the padded
-    products of a slab hold about ``_MATMUL_SLAB`` entries however long
-    the entries are.
+    Residues are cut into c limbs of w bits, each limb array is taken to
+    its real FFT of length 2**n >= da + db - 1, and the spectra of limb
+    pairs (u, v) are summed over the inner dimension by batched ``@``, one
+    group per u + v.  Each group's inverse FFT, rounded, is its exact
+    convolution; the groups recombine mod p.  A group sums J <= c*a.ncols
+    convolutions x * y with ||x||_2 ||y||_2 < 4**w sqrt(da db).  Percival
+    (Math. Comp. 72, 2003, Thm. 5.1) bounds the float64 error of one by
+    ||x||_2 ||y||_2 ((1+e)**3n (1+e sqrt 5)**(3n+1) (1+t)**3n - 1), where
+    e = 2**-53 and t <= 2e is the twiddles' error; summing the spectra
+    first adds a factor (1+e)**(J-1).  The error is below expm1 of the
+    exponents times e, and c is the fewest limbs keeping it under 1/2.
     """
     if a.field != b.field:
         raise ValueError("mismatched moduli")
     if a.ncols != b.nrows:
         raise ValueError(f"dimension mismatch: {a.ncols} vs {b.nrows}")
-    p = a.field.p
-    ac, bc = a.coeffs, b.coeffs
-    da, db = ac.shape[2], bc.shape[2]
-    out = np.zeros((a.nrows, b.ncols, max(da + db - 1, 0)), dtype=np.int64)
-    ii, kk, ll = np.nonzero((a.lengths > 0)[:, :, None] & (b.lengths > 0)[None])
-    # an output coefficient sums at most a.ncols * min(da, db) products,
-    # each below 2**62 as p < 2**31; they are reduced first unless that
-    # sum stays within int64 as it is
-    reduce = a.ncols * min(da, db) * (p - 1) ** 2 >= 2**63
-    # a pair's padded product has run rows of run + db, about a slab at most
-    run = max(1, min(da, _MATMUL_SLAB // max(1, da + db)))
-    per_slab = max(1, _MATMUL_SLAB // (run * (run + db)))
-    for t in range(0, da, run):
-        at = ac[:, :, t : t + run]
-        r = at.shape[2]
-        width = r + db  # rows padded so that reading them one shorter skews them
-        for lo in range(0, ii.size, per_slab):
-            i, k, l = ii[lo : lo + per_slab], kk[lo : lo + per_slab], ll[lo : lo + per_slab]
-            n = i.size
-            prod = np.zeros((n, r, width), dtype=np.int64)
-            block = prod[:, :, :db]
-            np.multiply(at[i, k, :, None], bc[k, l, None, :], out=block)
-            if reduce:
-                np.remainder(block, p, out=block)
-            conv = prod.reshape(n, r * width)[:, : r * (width - 1)].reshape(n, r, width - 1)
-            np.add.at(out[:, :, t : t + width - 1], (i, l), conv.sum(1))
-    np.remainder(out, p, out=out)
+    p, da, db = a.field.p, a.coeffs.shape[2], b.coeffs.shape[2]
+    if not da or not db:
+        return PolyMat.zero(a.field, a.nrows, b.ncols)
+    size = da + db - 1
+    n, bits = (size - 1).bit_length(), (p - 1).bit_length()
+    for c in range(1, bits + 1):
+        w, j = -(-bits // c), c * a.ncols
+        grow = np.expm1(2.0**-53 * (9 * n + j - 1 + 5**0.5 * (3 * n + 1)))
+        if j * 4.0**w * (da * db) ** 0.5 * grow < 0.5:
+            break
+    else:
+        raise ValueError("product too large to evaluate exactly in float64")
+    fa, fb = (
+        [np.fft.rfft((x >> (w * u)) & ((1 << w) - 1), 2**n, axis=0) for u in range(c)]
+        for x in (a.coeffs.transpose(2, 0, 1), b.coeffs.transpose(2, 0, 1))
+    )
+    out = np.zeros((a.nrows, b.ncols, size), dtype=np.int64)
+    for g in range(2 * c - 1):
+        us = range(max(0, g - c + 1), min(g, c - 1) + 1)
+        z = np.fft.irfft(sum(fa[u] @ fb[g - u] for u in us), 2**n, axis=0)[:size]
+        out += (np.rint(z).astype(np.int64) % p * pow(2, w * g, p)).transpose(1, 2, 0)
+        out %= p
     return PolyMat.from_coeffs(a.field, out)
 
 

@@ -437,6 +437,21 @@ def test_derived_sizes_are_bounded(command, tmp_path, capsys):
     assert "exceed" in capsys.readouterr().err
 
 
+def test_explicit_instance_sizes_are_bounded(tmp_path):
+    from popov_interp import cli
+
+    # 3000 rows of one constraint: a small file, but m*m*(sigma+1) = 18e6
+    # cells of a basis, past MAX_CELLS
+    m = 3000
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(
+        {"p": 97, "m": m, "jordan": [[0, [1]]], "E": [[1]] * m, "shift": [0] * m}
+    ))
+    assert m * m * 2 > cli.MAX_CELLS
+    with pytest.raises(cli.InputError, match="exceed"):
+        load_instance(str(path))
+
+
 def test_size_bound_is_inclusive():
     from popov_interp import cli
 

@@ -230,25 +230,63 @@ def test_matmul_matches_schoolbook(rng):
         assert matmul(a, PolyMat.zero(field, 2, 2)).rows == PolyMat.zero(field, 3, 2).rows
 
 
-def test_matmul_slabs_match_schoolbook(rng, monkeypatch):
-    # a slab of one or a few pairs, so that pairs cross slab boundaries
-    from popov_interp import polymat
+def test_matmul_is_exact_at_its_worst_case():
+    # all entries p - 1 at inner dimension 16 and length 8193: every limb
+    # and every coefficient sum is as large as the grid and tests reach,
+    # so the float64 error is as large as it gets at this size
+    import numpy as np
 
-    for slab in (1, 50, 777):
-        monkeypatch.setattr(polymat, "_MATMUL_SLAB", slab)
-        for p in (97, 2**31 - 1):
-            field = Modulus(p)
-            a = _random_polymat(rng, field, 4, 5, (0, 1, 4, 9))
-            b = _random_polymat(rng, field, 5, 3, (0, 2, 6))
-            assert matmul(a, b).rows == _matmul_reference(a, b)
+    K, L = 16, 8193
+    t = np.arange(2 * L - 1)
+    for p in PRIMES:
+        field = Modulus(p)
+        a = PolyMat.from_coeffs(field, np.full((1, K, L), p - 1, dtype=np.int64))
+        b = PolyMat.from_coeffs(field, np.full((K, 1, L), p - 1, dtype=np.int64))
+        # coefficient t sums K * min(t + 1, L, 2L - 1 - t) products (p-1)**2
+        terms = K * np.minimum(np.minimum(t + 1, L), 2 * L - 1 - t)
+        expect = terms % p * ((p - 1) ** 2 % p) % p
+        assert np.array_equal(matmul(a, b).coeffs[0, 0], expect)
+
+
+def _kronecker(xs, ys, p):
+    """sum_k xs[k] * ys[k] mod p exactly, for equal-length coefficient
+    arrays: each polynomial is packed into one integer, 80 bits per
+    coefficient, and Python's integer product does the convolution."""
+    import numpy as np
+
+    def pack(c):
+        buf = np.zeros((len(c), 10), dtype=np.uint8)
+        buf[:, :8] = c.astype("<u8").view(np.uint8).reshape(-1, 8)
+        return int.from_bytes(buf.tobytes(), "little")
+
+    total = sum(pack(x) * pack(y) for x, y in zip(xs, ys))
+    n = 2 * xs.shape[1] - 1
+    raw = np.frombuffer(total.to_bytes(10 * n, "little"), dtype=np.uint8).reshape(n, 10)
+    lo, hi = raw[:, :8].copy().view("<u8")[:, 0], raw[:, 8:].copy().view("<u2")[:, 0]
+    return ((lo % p + hi.astype(np.uint64) * (2**64 % p)) % p).astype(np.int64)
+
+
+def test_matmul_is_exact_on_random_residues_at_its_worst_size(rng):
+    # random residues spread the spectra, unlike the constant worst case
+    # above, so the float64 rounding errors are larger at the same size
+    import numpy as np
+
+    gen = np.random.default_rng(rng.randrange(2**32))
+    K, L = 16, 8193
+    for p in PRIMES:
+        field = Modulus(p)
+        a = gen.integers(0, p, (1, K, L))
+        b = gen.integers(0, p, (K, 1, L))
+        prod = matmul(PolyMat.from_coeffs(field, a), PolyMat.from_coeffs(field, b))
+        expect = _kronecker(a[0], b[:, 0], p)
+        assert np.array_equal(prod.coeffs[0, 0], expect[: prod.lengths[0, 0]])
+        assert not expect[prod.lengths[0, 0] :].any()
 
 
 def test_matmul_memory_is_bounded_for_long_entries(rng):
     # one pair of entries of length 2048 padded whole would take
-    # 2048 * 4096 int64 (64 MB); in runs of a's degrees it takes about a slab
+    # 2048 * 4096 int64 (64 MB); its limb spectra take a few hundred kB
     import tracemalloc
-
-    from popov_interp import polymat
 
     field = Modulus(998244353)
     a = _random_polymat(rng, field, 1, 1, (2048,))
@@ -259,7 +297,7 @@ def test_matmul_memory_is_bounded_for_long_entries(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 8 * polymat._MATMUL_SLAB
+    assert peak <= 2**23
     assert prod.rows == _matmul_reference(a, b)
 
 

@@ -52,9 +52,9 @@ from .apps import (
 )
 from .ff_poly import Modulus
 from .jordan_module import JordanSpec, standardize
-from .mib_engine import InterpInstance, interpolant_check, iterative_mib
+from .mib_engine import InterpInstance, interpolant_check, iterative_mib, minimal_degree
 from .polymat import PolyMat, is_popov
-from .popov_mib import popov_mib
+from .popov_mib import known_mindeg_mib, popov_mib
 
 OK, INPUT_ERROR, CHECK_FAILED, INTERNAL_ERROR = 0, 1, 2, 3
 
@@ -179,13 +179,12 @@ def cmd_solve(args) -> int:
         basis, delta = iterative_mib(inst)
     elif args.engine == "popov":
         basis, delta = popov_mib(inst)
-    else:  # oracle-check: run both and diff
-        b1, d1 = popov_mib(inst)
-        b2, d2 = iterative_mib(inst)
-        if b1 != b2 or d1 != d2:
-            print("engine mismatch: popov and iterative outputs differ", file=sys.stderr)
+    else:  # oracle-check: the known-degree rebuild against the elimination
+        basis, delta = iterative_mib(inst)
+        mindeg = minimal_degree(inst)
+        if mindeg != delta or known_mindeg_mib(inst, mindeg) != basis:
+            print("engine mismatch: known-degree and iterative outputs differ", file=sys.stderr)
             return CHECK_FAILED
-        basis, delta = b1, d1
     _write_out(basis_to_json(basis, delta), args.out)
     return OK
 

@@ -6,9 +6,13 @@ Every engine returns ``(basis, pivot degrees)``.
 at each constraint it reads a scalar discrepancy per basis row,
 eliminates it from all rows using the minimal row, multiplies that row by
 (X - x), and finally normalizes the accumulated weak Popov basis to the
-canonical shifted Popov form.  It is the reference engine every other
-path is checked against.  Un-normalized, the same elimination is the
-Mib's base case, ``iterative_weak_popov``.  It keeps one
+canonical shifted Popov form.  It is the reference engine the
+known-degree rebuild is checked against, and also PopovMib's base case:
+``popov_mib`` returns it up to ``LEAF * m`` constraints.  What stays
+independent of it is ``kernel_oracle``'s kernel dimensions, the
+generation certificate of the CLI's ``check`` and the golden bases the
+tests record.  Un-normalized, the same elimination is the Mib's base
+case, ``iterative_weak_popov``.  It keeps one
 ``(m, sigma + m*(sigma+1))`` int64 array: row i holds the residual of
 basis row i, in column order, then basis row i degree-major.  Columns
 already processed are zero mod p in every row and the pivot row is zero

@@ -1,22 +1,21 @@
 """Shifted Popov interpolation bases: PopovMib -> KnownDegreeMib -> Mib.
 
-``popov_mib`` follows the paper's PopovMib: it first computes only the
-degrees, the shifted minimal degree of the instance
-(``mib_engine.minimal_degree``: the Mib's recursion with no basis on its
-right spine and leaves that eliminate on E alone; the shifted pivot
-degrees of any shifted diagonal weak Popov basis are that degree).  It
-hands them to ``known_mindeg_mib``, which builds the canonical basis
-from scratch, once, at the root:
+``popov_mib`` follows the paper's PopovMib.  Up to the Mib's base case,
+sigma <= ``mib_engine.LEAF * m``, it takes the Mib's base case too:
+``iterative_mib``, one elimination and one normalization.  Above that
+bound it first computes only the degrees, the shifted minimal degree of
+the instance (``mib_engine.minimal_degree``: the Mib's recursion with no
+basis on its right spine and leaves that eliminate on E alone; the
+shifted pivot degrees of any shifted diagonal weak Popov basis are that
+degree).  It hands them to ``known_mindeg_mib``, which builds the
+canonical basis from scratch, once, at the root:
 
-* above the Mib's base case, sigma > ``mib_engine.LEAF * m``, the
-  columns are partially linearized in degree ceil(sigma/m) against an
-  expansion-compression gadget, so the expanded problem has at most 2m
-  rows and a balanced shift, which is what keeps the Mib's recursion
+* the columns are partially linearized in degree ceil(sigma/m) against
+  an expansion-compression gadget, so the expanded problem has at most
+  2m rows and a balanced shift, which is what keeps the Mib's recursion
   within the paper's cost bound for any shift; its module rows
   ``X**(k*chunk) . E_i`` are stepped for each column only as far as
-  its chunks go (``jordan_module.strided_powers``).  Up to that bound
-  the Mib is one elimination, whose cost a balanced shift does not
-  lower, so each column stays one chunk and the Mib runs on E itself;
+  its chunks go (``jordan_module.strided_powers``);
 * a minimal (weak Popov) basis R of the expanded problem is computed by
   ``minimal_interpolation_basis`` with the negated expanded degrees as
   shift, translated to be nonnegative;
@@ -40,15 +39,15 @@ This departs from the paper, which normalizes at every node of the
 recursion so that every intermediate basis has O(m*sigma) coefficients
 for any shift.  Here only the root is normalized, and the Mib's bases
 are not so bounded: on ``apps.adversarial_instance(8, 256, 0)`` (16
-rows, sigma = 256) the Mib's basis has 18,007 coefficients against
-the Popov basis's 2,334 and 16*(sigma+1) = 4,112.  One recursion and
-one rebuild are still faster there than a rebuild at every node.
+rows, sigma = 256, one leaf) the Mib's basis has 18,007 coefficients
+against the Popov basis's 2,334 and 16*(sigma+1) = 4,112.
 
 Nothing is recorded along the way.  ``popov_mib`` calls
-``minimal_degree`` and ``known_mindeg_mib``, and the rebuild calls the
-Mib, through their module-level names here; ``minimal_degree`` and the
-Mib recurse through their own names in ``mib_engine``, so a caller that
-wants to see every split wraps those bindings.
+``iterative_mib``, ``minimal_degree`` and ``known_mindeg_mib``, and the
+rebuild calls the Mib, through their module-level names here;
+``minimal_degree`` and the Mib recurse through their own names in
+``mib_engine``, so a caller that wants to see every split wraps those
+bindings.
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ from .jordan_module import strided_powers
 from .mib_engine import (
     InterpInstance,
     MinimalDegree,
+    iterative_mib,
     minimal_degree,
     minimal_interpolation_basis,
 )
@@ -90,16 +90,11 @@ def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
     """Expansion plan for a degree profile of an instance with m rows and
     sigma constraints.
 
-    Linearization only serves the rebuild's Mib when it recurses: it
-    balances the shift so that the paper's cost bound holds for any
-    degree profile.  So the columns are linearized only above the Mib's
-    base case, sigma > ``LEAF * m``, in chunks of ceil(sigma/m).  A
-    minimal degree sums to at most sigma, so that plan has at most 2m
-    chunks: sum(mindeg)/chunk + m <= 2m.  Up to ``LEAF * m`` the Mib
-    runs one elimination, which a balanced shift does not speed up and
-    up to m more rows slow down, so every column is one chunk of
-    max(mindeg) + 1: the rebuild's Mib runs on the instance's own m
-    rows under the shift max(mindeg) + 1 - mindeg.
+    Every column is cut into chunks of ceil(sigma/m), at least 1 so that
+    sigma = 0 has a plan.  A minimal degree sums to at most sigma, so the
+    plan has at most 2m chunks: sum(mindeg)/chunk + m <= 2m, and the
+    expanded shift is balanced, which keeps the rebuild's Mib within the
+    paper's cost bound for any degree profile.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -107,7 +102,7 @@ def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
         raise ValueError("minimal degree length does not match m")
     if any(d < 0 for d in mindeg):
         raise ValueError("minimal degrees must be nonnegative")
-    chunk = max(mindeg) + 1 if sigma <= mib_engine.LEAF * m else -(-sigma // m)
+    chunk = max(1, -(-sigma // m))
     alpha = tuple(d // chunk + 1 for d in mindeg)
     deltabar: List[int] = []
     offsets: List[int] = []
@@ -176,8 +171,11 @@ def known_mindeg_mib(inst: InterpInstance, mindeg: MinimalDegree) -> PolyMat:
 def popov_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """The s-Popov interpolation basis and the s-minimal degree.
 
-    The minimal degree is fed to the known-degree rebuild, for every
-    instance, sigma = 0 included.
+    Up to ``LEAF * m`` constraints, sigma = 0 included, this is
+    ``iterative_mib``; above, the minimal degree is fed to the
+    known-degree rebuild.
     """
+    if inst.sigma <= mib_engine.LEAF * inst.m:
+        return iterative_mib(inst)
     mindeg = minimal_degree(inst)
     return known_mindeg_mib(inst, mindeg), mindeg

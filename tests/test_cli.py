@@ -62,6 +62,18 @@ def test_oracle_check_on_random_instances(rng, tmp_path):
         assert main(["solve", str(path), "--engine", "oracle-check", "--out", str(out)]) == 0
 
 
+def test_oracle_check_reports_a_mismatch(instance_file, tmp_path, monkeypatch, capsys):
+    # a known-degree side that returns the identity disagrees with the
+    # elimination's basis: a verification failure, not an internal error
+    from popov_interp import cli
+
+    monkeypatch.setattr(cli, "known_mindeg_mib", lambda inst, mindeg: PolyMat.identity(inst.field, inst.m))
+    out = tmp_path / "basis.json"
+    assert main(["solve", str(instance_file), "--engine", "oracle-check", "--out", str(out)]) == 2
+    assert "engine mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_is_deterministic(instance_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["solve", str(instance_file), "--out", str(a)]) == 0

@@ -20,6 +20,7 @@ from popov_interp import (
     iterative_mib,
     iterative_weak_popov,
     kernel_oracle,
+    known_mindeg_mib,
     minimal_degree,
     popov_mib,
     standardize,
@@ -78,6 +79,9 @@ def test_popov_mib_matches_iterative(inst):
     basis, delta = popov_mib(inst)
     assert (basis, delta) == iterative_mib(inst)
     assert is_popov(basis, inst.shift)
+    # popov_mib is iterative_mib at these sizes: the known-degree rebuild
+    # is the second computation
+    assert known_mindeg_mib(inst, minimal_degree(inst)) == basis
 
 
 @FIXED

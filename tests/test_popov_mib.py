@@ -74,42 +74,25 @@ def test_build_expansion_row_count_bound():
                 assert len(plan.deltabar) <= 2 * m
 
 
-def test_build_expansion_one_chunk_at_a_leaf(rng):
-    # up to LEAF * m constraints every column is one chunk of max(mindeg) + 1
-    for m in range(1, 7):
-        for sigma in (0, m - 1, m, rng.randint(m, MIB_ENGINE.LEAF * m), MIB_ENGINE.LEAF * m):
-            for _ in range(5):
-                cuts = sorted(rng.randint(0, sigma) for _ in range(m - 1))
-                mindeg = tuple(b - a for a, b in zip([0] + cuts, cuts + [sigma]))
-                plan = build_expansion(mindeg, m, sigma)
-                assert plan.chunk == max(mindeg) + 1
-                assert plan.alpha == (1,) * m
-                assert plan.deltabar == mindeg
-                assert plan.group_offsets == tuple(range(m))
-
-
-def test_rebuild_linearizes_only_past_the_leaf(rng, monkeypatch):
-    # at sigma = LEAF * m the rebuild's Mib runs on the instance's own
-    # rows; one constraint more, on one row per expansion chunk
+def test_rebuild_linearizes_at_every_size(rng, monkeypatch):
+    # the rebuild's Mib runs on one row per expansion chunk, sum(alpha)
+    # rows, at every sigma: 0, up to m, at LEAF * m and one past it
     mibs = capture(monkeypatch, "minimal_interpolation_basis")
     expanded = 0
     for m in (1, 2, 3, 4):
-        for extra in (0, 1):
+        leaf = MIB_ENGINE.LEAF * m
+        for sigma in (0, m, leaf, leaf + 1):
             for _ in range(3):
-                sigma = MIB_ENGINE.LEAF * m + extra
                 inst = random_instance(rng, sigma_range=(sigma, sigma), m_range=(m, m))
                 popov, delta = iterative_mib(inst)
                 mibs.clear()
                 assert known_mindeg_mib(inst, delta) == popov
                 [((rinst,), _)] = mibs
                 assert rinst.jordan is inst.jordan
-                if extra:
-                    alpha = build_expansion(delta, m, sigma).alpha
-                    assert rinst.m == sum(alpha)
-                    expanded += sum(alpha) > m
-                else:
-                    assert rinst.m == m and (rinst.E == inst.E).all()
-    assert expanded >= 6
+                alpha = build_expansion(delta, m, sigma).alpha
+                assert rinst.m == sum(alpha) <= 2 * m
+                expanded += sum(alpha) > m
+    assert expanded >= 12
 
 
 def test_known_mindeg_worked_example():
@@ -205,17 +188,17 @@ def _compress(row, plan):
 
 def test_normalize_linearized_matches_direct(rng, monkeypatch):
     mibs = capture(monkeypatch, "minimal_interpolation_basis")
-    linearized = compressed = 0
+    past_leaf = compressed = 0
     for i in range(45):
         if i < 25:
-            # leaves: one chunk per column
+            # up to the Mib's base case, where the rebuild's Mib is a leaf
             inst = random_instance(rng, sigma_range=(2, 24), m_range=(2, 4))
         else:
-            # past the Mib's base case, so the columns are linearized
+            # past the Mib's base case, where the rebuild's Mib recurses
             m = rng.randint(1, 2)
             leaf = MIB_ENGINE.LEAF * m
             inst = random_instance(rng, sigma_range=(leaf + 1, leaf + 40), m_range=(m, m))
-            linearized += 1
+            past_leaf += 1
         if inst.sigma < inst.m:
             continue
         _, delta = iterative_mib(inst)
@@ -227,7 +210,7 @@ def test_normalize_linearized_matches_direct(rng, monkeypatch):
         direct = _normalize_direct(inv_mod(leading_at(rbasis, plan.deltabar), 97), rbasis)
         last = [off + a - 1 for off, a in zip(plan.group_offsets, plan.alpha)]
         assert [_compress(direct.rows[t], plan) for t in last] == popov.rows
-    assert linearized == 20 and compressed >= 6
+    assert past_leaf == 20 and compressed >= 6
 
 
 def test_popov_mib_trivial_and_small():
@@ -283,26 +266,36 @@ def test_popov_mib_split_records(rng, monkeypatch):
 
 
 def test_popov_mib_rebuilds_once_at_the_root(rng, monkeypatch):
-    # every instance, sigma <= m and sigma = 0 included, takes the
-    # known-degree rebuild once, and never the reference engine
+    # up to LEAF * m, sigma <= m and sigma = 0 included, the solve is one
+    # iterative_mib call and no rebuild; above it, one rebuild at the
+    # root and never the reference engine's normalization
+    leaves = capture(monkeypatch, "iterative_mib")
     rebuilds = capture(monkeypatch, "known_mindeg_mib")
-    monkeypatch.setattr(MIB_ENGINE, "weak_popov_to_popov", None)
-    small = empty = large = 0
-    while small < 5 or empty < 3 or large < 15:
-        inst = random_instance(rng, sigma_range=(0, 48), m_range=(1, 4))
-        rebuilds.clear()
-        basis, delta = popov_mib(inst)
-        [((node, mindeg), out)] = rebuilds
-        assert node is inst and mindeg == delta and out is basis
-        empty += inst.sigma == 0
-        small += 0 < inst.sigma <= inst.m
-        large += inst.sigma > inst.m
+    normalized = capture(monkeypatch, "weak_popov_to_popov", (MIB_ENGINE,))
+    for m in (1, 2, 3, 4):
+        bound = MIB_ENGINE.LEAF * m
+        for sigma in (0, rng.randint(1, m), rng.randint(m + 1, bound), bound, bound + 1, 2 * bound):
+            inst = random_instance(rng, sigma_range=(sigma, sigma), m_range=(m, m))
+            leaves.clear()
+            rebuilds.clear()
+            normalized.clear()
+            basis, delta = popov_mib(inst)
+            if sigma <= bound:
+                [((node,), out)] = leaves
+                assert node is inst and out == (basis, delta) and not rebuilds
+            else:
+                [((node, mindeg), out)] = rebuilds
+                assert node is inst and mindeg == delta and out is basis
+                assert not leaves and not normalized
 
 
 def test_popov_mib_matches_iterative(rng):
     for _ in range(40):
         inst = random_instance(rng, sigma_range=(0, 32), m_range=(1, 5))
-        assert popov_mib(inst) == iterative_mib(inst)
+        basis, delta = popov_mib(inst)
+        assert (basis, delta) == iterative_mib(inst)
+        # a leaf, so popov_mib is iterative_mib: the rebuild is the check
+        assert known_mindeg_mib(inst, minimal_degree(inst)) == basis
 
 
 def test_popov_mib_matches_iterative_deep_recursion(rng):

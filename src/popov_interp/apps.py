@@ -125,7 +125,10 @@ def _multiplicity_of(support, r: int) -> int:
         if support < 1:
             raise ValueError("multiplicity must be at least 1")
         return support
-    given = {tuple(int(v) for v in t) for t in support}
+    try:
+        given = {tuple(int(v) for v in t) for t in support}
+    except TypeError:
+        raise ValueError("a multiplicity support is a list of exponent tuples") from None
     mu = 1 + max((sum(t) for t in given), default=-1)
     # the triangular support of mu is the comb(mu + r, r + 1) tuples of
     # N**(r+1) summing below mu; no other size is enumerated

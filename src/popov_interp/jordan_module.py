@@ -15,13 +15,13 @@ The engines build every row ``X**k . E_j`` they read with one routine,
 ``strided_powers``: residuals ``P . E`` of a polynomial matrix against a
 module matrix use ``p . e = sum_k p_k * (X**k . e)``, the coefficients of
 P times the stacked Krylov rows at stride 1, one modular matrix product,
-and the known-degree rebuild takes the rows at the stride of its
-expansion.  Verification reads its own table of these rows
-(``mib_engine.PowerTable``).  The direct path, on lists of Python
-integers, identifies each block with a truncated power series and
-computes ``p(X + x_j) * f_j  mod  X**(size_j)``, the prefix
-``p(X + x_j) mod X**n`` taken once per eigenvalue by
-``ff_poly.taylor_prefix``, the library's one Taylor shift.  It shares no
+each column of P read only to its own length, and the known-degree
+rebuild takes the rows at the stride of its expansion.  Verification
+reads its own table of these rows (``mib_engine.PowerTable``).  The
+direct path, on lists of Python integers, identifies each block with a
+truncated power series and computes ``p(X + x_j) * f_j  mod
+X**(size_j)``, the prefix ``p(X + x_j) mod X**n`` taken once per
+eigenvalue by ``ff_poly.taylor_prefix``, the library's one Taylor shift.  It shares no
 code with the residual or with ``mib_engine.interpolant_check`` (both
 products are ``linalg.matmul_mod``), and is the list reference both are
 tested against.
@@ -215,30 +215,29 @@ def strided_powers(
 def residual(pmat: PolyMat, rows: np.ndarray, jordan: JordanSpec) -> np.ndarray:
     """P . E as one Krylov-matrix product, an (nrows, sigma) int64 array.
 
-    With P's packed coefficients read entry-major as an (nrows, m*d)
-    array, entry (i, j*d + k) holding the coefficient of X**k in p_ij, the
-    residual is that array times the rows ``X**k . E_j``, j-major, from
-    ``strided_powers``, reduced mod p.  Long entries are taken in slabs of
-    powers to bound memory; each slab starts one X step past the last
-    rows of the one before.
+    Column j of P is read to its own length n_j, the longest of its
+    entries: the coefficients of X**k in p_ij for k < n_j, j-major, times
+    the rows ``X**k . E_j`` for the same (j, k) from ``strided_powers``,
+    reduced mod p.  Long columns are taken in slabs of powers to bound
+    memory; a column that goes on past a slab starts the next one an X
+    step past its last row.
     """
-    field = pmat.field
-    p = field.p
+    p = pmat.field.p
     m = pmat.ncols
     if m != len(rows):
         raise ValueError("dimension mismatch between P and E")
     sigma = jordan.total
-    d = pmat.coeffs.shape[2]
+    lengths = pmat.lengths.max(0)
     out = np.zeros((pmat.nrows, sigma), dtype=np.int64)
     slab = max(1, _KRYLOV_SLAB // max(1, m * sigma))
-    v = rows
-    for lo in range(0, d, slab):
-        n = min(slab, d - lo)
-        krylov = strided_powers(v, jordan, field, [n] * m, 1)
-        part = linalg.matmul_mod(
-            pmat.coeffs[:, :, lo : lo + n].reshape(pmat.nrows, m * n), krylov, p
-        )
+    v = np.array(rows, dtype=np.int64)
+    for lo in range(0, pmat.coeffs.shape[2], slab):
+        counts = np.clip(lengths - lo, 0, slab)
+        krylov = strided_powers(v, jordan, pmat.field, counts, 1)
+        below = np.arange(counts.max()) < counts[:, None]
+        part = linalg.matmul_mod(pmat.coeffs[:, :, lo : lo + slab][:, below], krylov, p)
         out = (out + part) % p
-        if lo + n < d:
-            v = _x_step(krylov[n - 1 :: n], *column_action(jordan, p), p)
+        going = lengths > lo + slab
+        if going.any():
+            v[going] = _x_step(krylov[np.cumsum(counts)[going] - 1], *column_action(jordan, p), p)
     return out

@@ -47,7 +47,9 @@ PopovMib needs first, the degrees: its leaves eliminate on E alone, and
 above a leaf it solves only the left half with the Mib, whose basis the
 residual needs, and recurses on the right half, so the right spine
 builds no basis and no product is formed at its nodes.  Both recursions
-split, push the residual and bump the shift through ``solve_left``.
+split, push the residual and bump the shift through ``solve_left``,
+which forms the residual only from the block holding the cut on: the
+left basis's residual vanishes before the cut.
 
 ``interpolant_check`` verifies a row from the definition of the module
 action, ``p . E = sum_k p_k (X**k . E)``: it gathers the rows
@@ -68,6 +70,7 @@ independent certificate used by the acceptance suite.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -370,13 +373,18 @@ def solve_left(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree, InterpInst
 
     The left half from ``split_leading`` is solved by the Mib; the right
     half is the residual of P1 against E, restricted to the trailing
-    blocks, under the shift bumped by d1.
+    blocks, under the shift bumped by d1.  P1's residual vanishes left of
+    the cut, and X carries across the cut inside a block, so only the
+    columns from the start of the block holding the cut on are formed.
     """
     inst1, jordan2 = split_leading(inst)
     p1, d1 = minimal_interpolation_basis(inst1)
-    rem = residual(p1, inst.E, inst.jordan)
+    cut = inst1.sigma
+    b = bisect.bisect_right(inst.jordan.offsets, cut) - 1
+    start = inst.jordan.offsets[b]
+    rem = residual(p1, inst.E[:, start:], JordanSpec(inst.jordan.blocks[b:]))
     shift2 = tuple(sv + dv for sv, dv in zip(inst.shift, d1))
-    return p1, d1, InterpInstance(inst.field, rem[:, inst1.sigma :], jordan2, shift2)
+    return p1, d1, InterpInstance(inst.field, rem[:, cut - start :], jordan2, shift2)
 
 
 def minimal_interpolation_basis(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:

@@ -20,10 +20,10 @@ canonical basis from scratch, once, at the root:
   ``minimal_interpolation_basis`` with the negated expanded degrees as
   shift, translated to be nonnegative;
 * R necessarily has column degree equal to the expanded degrees and its
-  leading matrix at those degrees is invertible; R is packed once into a
-  column-linearized constant matrix, the last-chunk rows of the inverse
-  leading matrix times that array are the Popov rows in linearized form,
-  and adding the shifted chunks compresses them back.
+  leading matrix at those degrees is invertible; both are read from R's
+  packed coefficients as they are stored, the last-chunk rows of the
+  inverse leading matrix times those coefficients are the Popov rows in
+  expanded form, and adding the shifted chunks compresses them back.
 
 A degree that is not the minimal degree of the instance raises
 ValueError("inconsistent minimal degree") when it shows up as an exceeded
@@ -77,13 +77,12 @@ class ExpansionPlan:
     chunk k standing for the coefficients from degree ``k*chunk`` on;
     ``deltabar`` lists the degree bound of every chunk (``chunk`` for all
     but the last of a column, the remainder of the column degree for the
-    last) and column i's chunks start at index ``group_offsets[i]``.
+    last), column by column.
     """
 
     chunk: int
     alpha: Tuple[int, ...]
     deltabar: Tuple[int, ...]
-    group_offsets: Tuple[int, ...]
 
 
 def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
@@ -105,16 +104,9 @@ def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
     chunk = max(1, -(-sigma // m))
     alpha = tuple(d // chunk + 1 for d in mindeg)
     deltabar: List[int] = []
-    offsets: List[int] = []
     for d, a in zip(mindeg, alpha):
-        offsets.append(len(deltabar))
         deltabar.extend([chunk] * (a - 1) + [d - (a - 1) * chunk])
-    return ExpansionPlan(
-        chunk=chunk,
-        alpha=alpha,
-        deltabar=tuple(deltabar),
-        group_offsets=tuple(offsets),
-    )
+    return ExpansionPlan(chunk=chunk, alpha=alpha, deltabar=tuple(deltabar))
 
 
 def known_mindeg_mib(inst: InterpInstance, mindeg: MinimalDegree) -> PolyMat:
@@ -136,30 +128,24 @@ def known_mindeg_mib(inst: InterpInstance, mindeg: MinimalDegree) -> PolyMat:
     rinst = InterpInstance(field, ebar, inst.jordan, engine_shift)
     rbasis, _ = minimal_interpolation_basis(rinst)
 
-    # R column-linearized at deltabar: column u occupies the columns
-    # starts[u] .. starts[u+1]-1, its coefficient of degree deltabar[u] last
-    starts = np.cumsum((0,) + tuple(d + 1 for d in plan.deltabar))
-    rcoeffs = rbasis.coeffs
-    flat = np.zeros((rbasis.nrows, int(starts[-1])), dtype=np.int64)
-    for u, bound in enumerate(plan.deltabar):
-        if rcoeffs[:, u, bound + 1 :].any():
-            raise ValueError("inconsistent minimal degree")
-        n = min(bound + 1, rcoeffs.shape[2])
-        flat[:, starts[u] : starts[u] + n] = rcoeffs[:, u, :n]
-    lead = flat[:, starts[1:] - 1]
-    linv = linalg.inv_mod(lead, p)
+    # R's column u has degree at most deltabar[u], and its coefficients
+    # there are the leading matrix
+    deltabar = np.array(plan.deltabar)
+    if (rbasis.lengths > deltabar + 1).any():
+        raise ValueError("inconsistent minimal degree")
+    r = np.pad(rbasis.coeffs, ((0, 0), (0, 0), (0, deltabar.max() + 1 - rbasis.coeffs.shape[2])))
+    linv = linalg.inv_mod(r[:, np.arange(len(deltabar)), deltabar], p)
     if linv is None:
         raise ValueError("inconsistent minimal degree")
     # only the last chunk row of each column group becomes a Popov row
-    last = [off + a - 1 for off, a in zip(plan.group_offsets, plan.alpha)]
-    pbar = linalg.matmul_mod(linv[last], flat, p)
+    last = np.cumsum(plan.alpha) - 1
+    pbar = linalg.matmul_mod(linv[last], r.reshape(len(r), -1), p).reshape(m, *r.shape[1:])
 
+    # compress: chunk k of column j goes back in at degree k*chunk
     coeffs = np.zeros((m, m, max(mindeg) + 1), dtype=np.int64)
-    for j, (off, a) in enumerate(zip(plan.group_offsets, plan.alpha)):
-        for k in range(a):
-            u = off + k
-            lo = k * plan.chunk
-            coeffs[:, j, lo : lo + plan.deltabar[u] + 1] += pbar[:, starts[u] : starts[u + 1]]
+    chunks = [(j, k * plan.chunk) for j, a in enumerate(plan.alpha) for k in range(a)]
+    for (j, lo), d, part in zip(chunks, plan.deltabar, pbar.transpose(1, 0, 2)):
+        coeffs[:, j, lo : lo + d + 1] += part[:, : d + 1]
     coeffs %= p
     popov = PolyMat.from_coeffs(field, coeffs)
     diagonal = popov.lengths.diagonal().tolist()

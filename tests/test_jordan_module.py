@@ -226,6 +226,36 @@ def test_residual_slabs_equal_direct(rng, monkeypatch):
             assert residual(pmat, rows, spec).tolist() == direct
 
 
+def test_residual_reads_each_column_to_its_length(rng, monkeypatch):
+    # columns of very different lengths, zero columns among them, and the
+    # zero matrix; slabs of a few powers end inside the long columns
+    for p in PRIMES:
+        for trial in range(12):
+            m = rng.randint(1, 4)
+            sigma = rng.randint(1, 12)
+            spec = JordanSpec(tuple(_random_blocks(rng, sigma, p)))
+            rows = np.array([[rng.randrange(p) for _ in range(sigma)] for _ in range(m)])
+            if trial == 0:
+                widths = [0] * m  # the zero matrix
+            else:
+                widths = [rng.choice((0, 1, 2, 3 * sigma + 5)) for _ in range(m)]
+            nrows = rng.randint(1, 3)
+            entries = [[[] for _ in range(m)] for _ in range(nrows)]
+            for j, n in enumerate(widths):
+                for i in range(nrows):
+                    k = n if i == 0 else rng.randint(0, n)  # row 0 reaches n
+                    if k:
+                        entries[i][j] = [rng.randrange(p) for _ in range(k - 1)] + [
+                            rng.randrange(1, p)
+                        ]
+            pmat = PolyMat.from_rows(Modulus(p), entries)
+            assert pmat.lengths.max(0).tolist() == widths
+            slab = rng.randint(1, 4)
+            monkeypatch.setattr(jordan_module, "_KRYLOV_SLAB", slab * m * sigma)
+            direct = residual_direct(pmat, rows.tolist(), spec)
+            assert residual(pmat, rows, spec).tolist() == direct
+
+
 def test_strided_powers_matches_dense_jordan(rng):
     # each row to its own count, zero included, in any order of counts
     for p in PRIMES:

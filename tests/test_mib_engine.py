@@ -1,8 +1,9 @@
 """The iterative engine, the divide-and-conquer engine, and the oracle."""
 
+import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import MIB_ENGINE, capture, random_instance
 from popov_interp import (
     InterpInstance,
     JordanSpec,
@@ -16,6 +17,8 @@ from popov_interp import (
     popov_mib,
     weak_popov_to_popov,
 )
+from popov_interp.jordan_module import residual
+from popov_interp.mib_engine import solve_left, split_leading
 from reference import determinant, poly_deg
 
 F = Modulus(97)
@@ -135,3 +138,31 @@ def test_signed_shifts(rng):
             max(0, bound - si - di + 1) for si, di in zip(inst.shift, delta)
         )
 
+
+def test_solve_left_forms_the_residual_from_the_cut_block(rng, monkeypatch):
+    # sigma = 10 cuts at 5: inside a block, on a block boundary, on a
+    # boundary followed by a block of the same eigenvalue, and inside the
+    # first block; the residual is formed from the start of the block
+    # holding the cut on
+    residuals = capture(monkeypatch, "residual", (MIB_ENGINE,))
+    cases = [
+        (((3, 2), (5, 4), (7, 4)), 2),
+        (((3, 2), (5, 3), (7, 5)), 5),
+        (((3, 2), (5, 3), (5, 5)), 5),
+        (((3, 7), (5, 3)), 0),
+    ]
+    for p in (3, 97, 998244353, 2**31 - 1):
+        field = Modulus(p)
+        for blocks, start in cases:
+            jordan = JordanSpec(blocks)
+            E = [[rng.randrange(p) for _ in range(10)] for _ in range(2)]
+            inst = InterpInstance(field, E, jordan, (rng.randint(0, 5), rng.randint(0, 5)))
+            residuals.clear()
+            p1, d1, inst2 = solve_left(inst)
+            [((_, rows, _), _)] = residuals
+            assert rows.shape == (2, 10 - start)
+            full = residual(p1, inst.E, jordan)
+            assert not full[:, :5].any()
+            assert np.array_equal(inst2.E, full[:, 5:])
+            assert inst2.jordan == split_leading(inst)[1]
+            assert inst2.shift == tuple(s + d for s, d in zip(inst.shift, d1))

@@ -4,9 +4,11 @@
   p . F_j = 0 mod X**(order_j), solved by encoding each column of F as a
   nilpotent block;
 * constrained multivariate interpolation (Guruswami-Sudan and
-  Koetter-Vardy style): a polynomial Q(X, Y_1..Y_r) with prescribed Y
-  support that vanishes at given points with given multiplicities,
-  linearized over the Y monomials;
+  Koetter-Vardy style): a polynomial Q(X, Y_1..Y_r) with prescribed
+  division-stable Y support that vanishes at given distinct points with
+  given integer multiplicities, linearized over the Y monomials; a
+  problem is checked once, when it is built, so its encoding cannot
+  fail;
 * shift-range reduction: replaces a shift by an equivalent one with
   min 0, max at most (m-1)*sigma, and sum at most m**2*sigma/2;
 * an adversarial Hermite-Pade family whose un-normalized minimal bases
@@ -19,6 +21,8 @@ import random
 from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .ff_poly import Modulus, Poly, poly_trim, taylor_prefix
 from .jordan_module import JordanSpec
@@ -56,18 +60,20 @@ class ApproximantProblem:
 class GSProblem:
     """Multivariate interpolation with multiplicities and degree weights.
 
-    ``exponents`` is the division-stable support of Q in the Y variables;
-    ``multiplicities`` holds one triangular multiplicity support
-    {(a, b) : a + |b| < mu} per point.  An explicit collection of exponent
-    tuples may be supplied instead of an integer mu, but only if it equals
-    a triangular support.
+    ``exponents`` is the support of Q in the Y variables: at least one
+    tuple of num_y nonnegative integers, all distinct, and division-stable
+    (lowering any entry of a tuple by one gives another tuple of the
+    set).  ``multiplicities`` holds one positive integer mu per point,
+    whose support is the triangular {(a, b) : a + |b| < mu}.  Points are
+    distinct, each with num_y Y-coordinates.  Every check is made here,
+    so the encoders below read a valid problem.
     """
 
     field: Modulus
     num_y: int
     exponents: Tuple[Tuple[int, ...], ...]
     points: Tuple[Point, ...]
-    multiplicities: Tuple[object, ...]
+    multiplicities: Tuple[int, ...]
     weights: Tuple[int, ...]
 
     def __post_init__(self):
@@ -84,11 +90,24 @@ class GSProblem:
         if len(self.weights) != r:
             raise ValueError("one weight per Y variable is required")
         if len(self.multiplicities) != len(self.points):
-            raise ValueError("one multiplicity support per point is required")
-        if any(len(ex) != r for ex in self.exponents):
-            raise ValueError("exponent tuples must have num_y entries")
+            raise ValueError("one multiplicity per point is required")
+        if any(not isinstance(mu, int) or mu < 1 for mu in self.multiplicities):
+            raise ValueError("multiplicities must be positive integers")
         if any(len(ys) != r for _, ys in self.points):
             raise ValueError("points must have num_y Y-coordinates")
+        if len(set(self.points)) != len(self.points):
+            raise ValueError("duplicate points")
+        if not self.exponents:
+            raise ValueError("at least one exponent tuple is required")
+        if any(len(ex) != r or min(ex) < 0 for ex in self.exponents):
+            raise ValueError("exponent tuples must have num_y nonnegative entries")
+        support = set(self.exponents)
+        if len(support) != len(self.exponents):
+            raise ValueError("duplicate exponent tuples")
+        for ex in self.exponents:
+            for i, g in enumerate(ex):
+                if g and ex[:i] + (g - 1,) + ex[i + 1 :] not in support:
+                    raise ValueError("non-division-stable exponent set")
 
     @property
     def m(self) -> int:
@@ -98,7 +117,7 @@ class GSProblem:
     def sigma(self) -> int:
         """The number of constraints, comb(mu + r, r + 1) per point."""
         r = self.num_y
-        return sum(comb(_multiplicity_of(sup, r) + r, r + 1) for sup in self.multiplicities)
+        return sum(comb(mu + r, r + 1) for mu in self.multiplicities)
 
 
 def _derivative_indices(mu: int, r: int) -> List[Tuple[int, ...]]:
@@ -115,30 +134,6 @@ def _derivative_indices(mu: int, r: int) -> List[Tuple[int, ...]]:
     return [b for t in range(mu) for b in of_sum(t, r)]
 
 
-def _multiplicity_of(support, r: int) -> int:
-    """The integer mu of a triangular support, or an error.
-
-    An explicit support must equal ``{(a,) + b : |b| < mu, a < mu - |b|}``
-    for mu one more than its largest total degree ``a + |b|``.
-    """
-    if isinstance(support, int):
-        if support < 1:
-            raise ValueError("multiplicity must be at least 1")
-        return support
-    try:
-        given = {tuple(int(v) for v in t) for t in support}
-    except TypeError:
-        raise ValueError("a multiplicity support is a list of exponent tuples") from None
-    mu = 1 + max((sum(t) for t in given), default=-1)
-    # the triangular support of mu is the comb(mu + r, r + 1) tuples of
-    # N**(r+1) summing below mu; no other size is enumerated
-    if mu >= 1 and len(given) == comb(mu + r, r + 1):
-        tri = {(a,) + b for b in _derivative_indices(mu, r) for a in range(mu - sum(b))}
-        if given == tri:
-            return mu
-    raise ValueError("only triangular multiplicity supports are supported")
-
-
 def gs_instance(prob: GSProblem) -> InterpInstance:
     """The (E, J, s) encoding of a multivariate interpolation problem.
 
@@ -149,42 +144,28 @@ def gs_instance(prob: GSProblem) -> InterpInstance:
     is the weighted Y-degree of each monomial.  Blocks come point by
     point, as generated: no engine reads the block order.
     """
-    field = prob.field
-    p = field.p
-    r = prob.num_y
-    if len(set(prob.points)) != len(prob.points):
-        raise ValueError("duplicate points")
-    for ex in prob.exponents:
-        for i in range(r):
-            if ex[i] > 0:
-                low = ex[:i] + (ex[i] - 1,) + ex[i + 1 :]
-                if low not in prob.exponents:
-                    raise ValueError("non-division-stable exponent set")
-    mus = [_multiplicity_of(sup, r) for sup in prob.multiplicities]
-
+    p = prob.field.p
     blocks = []
-    columns = []  # (point index, derivative index) per block
-    for k, mu in enumerate(mus):
-        for b in _derivative_indices(mu, r):
-            blocks.append((prob.points[k][0], mu - sum(b)))
-            columns.append((k, b))
+    columns = []  # (Y-coordinates, derivative index) per block
+    for (x, ys), mu in zip(prob.points, prob.multiplicities):
+        for b in _derivative_indices(mu, prob.num_y):
+            blocks.append((x, mu - sum(b)))
+            columns.append((ys, b))
+    jordan = JordanSpec(tuple(blocks))
 
-    rows = []
-    for ex in prob.exponents:
-        row: List[int] = []
-        for (k, b), (_, size) in zip(columns, blocks):
-            _, ys = prob.points[k]
+    E = np.zeros((prob.m, jordan.total), dtype=np.int64)
+    for row, ex in zip(E, prob.exponents):
+        for (ys, b), off in zip(columns, jordan.offsets):
             c = 1
             for gi, bi, yi in zip(ex, b, ys):
                 if bi > gi:
                     c = 0
                     break
                 c = c * (comb(gi, bi) % p) % p * pow(yi, gi - bi, p) % p
-            row.extend([c] + [0] * (size - 1))
-        rows.append(row)
+            row[off] = c
 
     shift = tuple(sum(g * w for g, w in zip(ex, prob.weights)) for ex in prob.exponents)
-    return InterpInstance(field, rows, JordanSpec(tuple(blocks)), shift)
+    return InterpInstance(prob.field, E, jordan, shift)
 
 
 def approximant_instance(prob: ApproximantProblem) -> InterpInstance:
@@ -193,15 +174,12 @@ def approximant_instance(prob: ApproximantProblem) -> InterpInstance:
     One nilpotent block of size sigma_j per column of F, whose module
     column holds the coefficients of that column.
     """
-    blocks = [(0, o) for o in prob.orders]
-    rows = []
-    for i in range(prob.F.nrows):
-        row: List[int] = []
-        for j, o in enumerate(prob.orders):
-            e = prob.F.rows[i][j]
-            row.extend(list(e) + [0] * (o - len(e)))
-        rows.append(row)
-    return InterpInstance(prob.field, rows, JordanSpec(tuple(blocks)), prob.shift)
+    jordan = JordanSpec(tuple((0, o) for o in prob.orders))
+    E = np.zeros((prob.F.nrows, jordan.total), dtype=np.int64)
+    for j, (o, off) in enumerate(zip(prob.orders, jordan.offsets)):
+        col = prob.F.coeffs[:, j, :o]
+        E[:, off : off + col.shape[1]] = col
+    return InterpInstance(prob.field, E, jordan, prob.shift)
 
 
 def order_basis(prob: ApproximantProblem) -> Tuple[PolyMat, MinimalDegree]:
@@ -269,7 +247,7 @@ def q_vanishes_at(prob: GSProblem, row: Sequence[Poly], k: int) -> bool:
     p = prob.field.p
     r = prob.num_y
     x, ys = prob.points[k]
-    mu = _multiplicity_of(prob.multiplicities[k], r)
+    mu = prob.multiplicities[k]
 
     # coefficients of Q(X+x, Y+y): Y-exponent tuple -> X-polynomial
     expanded: dict = {}

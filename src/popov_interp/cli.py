@@ -6,7 +6,10 @@ Instances and results are JSON; coefficients are plain integers in
 0 success, 1 input error, 2 verification failure or engine mismatch,
 3 internal error.  An input file that cannot be read or parsed, and an
 instance that any command would size past ``MAX_CELLS``, explicit
-files included, are input errors.
+files included, are input errors.  So is any problem that its class
+(``InterpInstance``, ``ApproximantProblem``, ``GSProblem``) refuses
+when it is built, or a bad argument of ``bench`` or ``adversarial``; an
+error raised after that, in an encoder or an engine, is internal.
 
 ``check`` rejects a basis entry of more than sigma + 1 coefficients as
 an input error before sizing anything by it.  No basis that passes is
@@ -86,7 +89,8 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if isinstance(data, dict):
-            _check_integers(data, path)
+            for value in data.values():
+                _check_integers(value, path)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -95,16 +99,17 @@ def _load_json(path: str) -> dict:
 
 
 def _check_integers(value, path: str) -> None:
-    """Reject every boolean, float and string value in a JSON document;
-    object keys stay strings.
+    """Reject every boolean, float, string and object below the top level
+    of a JSON document, whose own keys stay strings.
 
     They would otherwise pass as integers (``true`` as 1, ``"3"`` through
-    ``int()``) or be truncated where they are packed into int64 arrays.
+    ``int()``, ``{"3": 0}`` as its keys) or be truncated where they are
+    packed into int64 arrays.  No file format nests an object.
     """
-    if isinstance(value, (bool, float, str)):
+    if isinstance(value, (bool, float, str, dict)):
         raise InputError(f"{path}: {json.dumps(value)} is not an integer")
-    if isinstance(value, (list, dict)):
-        for v in value.values() if isinstance(value, dict) else value:
+    if isinstance(value, list):
+        for v in value:
             _check_integers(v, path)
 
 
@@ -308,11 +313,8 @@ def load_gs(path: str) -> GSProblem:
 
 def cmd_gs_interp(args) -> int:
     prob = load_gs(args.problem)
-    try:
-        _check_size(prob.m, prob.sigma)
-        inst = gs_instance(prob)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    _check_size(prob.m, prob.sigma)
+    inst = gs_instance(prob)
     basis, delta = popov_mib(inst)
     payload = basis_to_json(basis, delta)
     payload["instance"] = instance_to_json(inst)
@@ -321,11 +323,14 @@ def cmd_gs_interp(args) -> int:
 
 
 def cmd_adversarial(args) -> int:
-    _check_size(2 * args.m, args.sigma)
     try:
-        prob = adversarial_instance(args.m, args.sigma, args.seed, Modulus(args.p))
+        field = Modulus(args.p)
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise InputError(f"bad modulus: {exc}") from exc
+    if not args.sigma >= args.m >= 2:
+        raise InputError("adversarial needs --sigma >= --m >= 2")
+    _check_size(2 * args.m, args.sigma)
+    prob = adversarial_instance(args.m, args.sigma, args.seed, field)
     payload = {
         "p": args.p,
         "F": [[list(e) for e in row] for row in prob.F.rows],

@@ -123,34 +123,26 @@ def test_gs_multiplicity_two_support():
         assert q_vanishes_at(prob, row, 0)
 
 
-def test_gs_explicit_triangular_support_accepted():
-    tri = ((0, 0), (1, 0), (0, 1))  # the triangular support of mu = 2
-    prob = GSProblem(F, 1, ((0,), (1,)), ((3, (4,)),), (tri,), (1,))
-    inst = gs_instance(prob)
-    assert inst.sigma == 3
-    # r = 2, mu = 3: {(a, b1, b2) : a + b1 + b2 < 3}, in any order
-    tri = tuple(t for t in itertools.product(range(3), repeat=3) if sum(t) < 3)[::-1]
-    exponents = ((0, 0), (1, 0), (0, 1))
-    explicit = gs_instance(GSProblem(F, 2, exponents, ((3, (4, 5)),), (tri,), (1, 1)))
-    assert explicit.sigma == len(tri) == 10
-    implicit = gs_instance(GSProblem(F, 2, exponents, ((3, (4, 5)),), (3,), (1, 1)))
-    assert explicit.jordan == implicit.jordan
-    assert explicit.E.tolist() == implicit.E.tolist()
-
-
 def test_gs_validation_errors():
+    # every check is made when the problem is built
     with pytest.raises(ValueError, match="duplicate points"):
-        gs_instance(GSProblem(F, 1, ((0,),), ((1, (2,)), (1, (2,))), (1, 1), (0,)))
+        GSProblem(F, 1, ((0,),), ((1, (2,)), (1, (2,))), (1, 1), (0,))
     with pytest.raises(ValueError, match="division-stable"):
-        gs_instance(GSProblem(F, 1, ((0,), (2,)), ((1, (2,)),), (1,), (0,)))
-    with pytest.raises(ValueError, match="triangular"):
-        gs_instance(
-            GSProblem(F, 1, ((0,),), ((1, (2,)),), ((((0, 0), (1, 1)),)), (0,))
-        )
+        GSProblem(F, 1, ((0,), (2,)), ((1, (2,)),), (1,), (0,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        GSProblem(F, 1, ((0,), (-1,)), ((1, (2,)),), (1,), (0,))
+    with pytest.raises(ValueError, match="duplicate exponent"):
+        GSProblem(F, 1, ((0,), (0,)), ((1, (2,)),), (1,), (0,))
+    with pytest.raises(ValueError, match="at least one exponent"):
+        GSProblem(F, 1, (), ((1, (2,)),), (1,), (0,))
+    # a list of exponent tuples is not a multiplicity, triangular or not
+    with pytest.raises(ValueError, match="positive integers"):
+        GSProblem(F, 1, ((0,),), ((1, (2,)),), ((((0, 0), (1, 1)),)), (0,))
     holed = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))  # mu = 3 without (1, 1)
-    for support in ((), holed, ((0,), (1,)), ((0, 0, 0),)):
-        with pytest.raises(ValueError, match="triangular"):
-            gs_instance(GSProblem(F, 1, ((0,),), ((1, (2,)),), (support,), (0,)))
+    tri = ((0, 0), (1, 0), (0, 1))  # the triangular support of mu = 2
+    for support in ((), holed, ((0,), (1,)), ((0, 0, 0),), tri, 0, -1):
+        with pytest.raises(ValueError, match="positive integers"):
+            GSProblem(F, 1, ((0,),), ((1, (2,)),), (support,), (0,))
 
 
 @pytest.mark.parametrize("p", [97, 998244353])

@@ -168,11 +168,15 @@ GS = {"p": 97, "num_y": 1, "exponents": [[0], [1]], "points": [[0, [1]]],
     ("check", {"p": 97, "basis": [[[0, 1], []], [[96], [1]]], "delta": ["1", " 0"]}),
     ("order-basis", {"p": 97, "F": [[[2]], [[1]]], "orders": ["2"], "shift": ["0", 0]}),
     ("gs-interp", {**GS, "num_y": "1"}),
+    ("gs-interp", {**GS, "exponents": [{"0": 5}, {"1": 7}]}),
+    ("gs-interp", {**GS, "points": [[0, {"1": 0}]]}),
+    ("solve", {"p": 97, "m": 2, "jordan": [[0, {"1": 0}]], "E": [[1], [1]], "shift": [0, 0]}),
 ], ids=["solve-E", "solve-shift", "check-basis", "order-basis", "gs-point", "gs-multiplicity",
-        "check-delta", "order-basis-orders", "gs-num_y"])
+        "check-delta", "order-basis-orders", "gs-num_y", "gs-exponent-object", "gs-point-object",
+        "solve-jordan-object"])
 def test_loaders_reject_floats_and_booleans(command, payload, instance_file, tmp_path, capsys):
-    # each would otherwise be read as an integer (a string through int()),
-    # truncated, or fail inside
+    # each would otherwise be read as an integer (a string through int(),
+    # an object as its keys), truncated, or fail inside
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     args = [command, str(instance_file), str(path)] if command == "check" else [command, str(path)]
@@ -303,6 +307,39 @@ def test_gs_interp_rejects_duplicates(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exponents, message", [
+    ([[0], [-1]], "nonnegative"),
+    ([[0], [0]], "duplicate exponent"),
+    ([], "at least one exponent"),
+], ids=["negative", "duplicate", "empty"])
+def test_gs_interp_rejects_bad_exponents(exponents, message, tmp_path, capsys):
+    # the first two would otherwise be solved: a Y**-1 column, or a zero row Q
+    path = tmp_path / "gs.json"
+    path.write_text(json.dumps({**GS, "exponents": exponents}))
+    assert main(["gs-interp", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, encoder", [
+    ("adversarial", "adversarial_instance"),
+    ("gs-interp", "gs_instance"),
+])
+def test_encoder_fault_is_internal_error(command, encoder, tmp_path, monkeypatch, capsys):
+    # the inputs are checked before the encoders run, so a ValueError
+    # from one is a fault of the program, not of its input
+    from popov_interp import cli
+
+    def broken(*args):
+        raise ValueError("encoder fault")
+
+    monkeypatch.setattr(cli, encoder, broken)
+    path = tmp_path / "gs.json"
+    path.write_text(json.dumps(GS))
+    args = ["adversarial", "--m", "2", "--sigma", "4"] if command == "adversarial" else [command, str(path)]
+    assert main(args) == 3
+    assert "internal error: ValueError: encoder fault" in capsys.readouterr().err
+
+
 def test_adversarial_command(tmp_path):
     out = tmp_path / "adv.json"
     assert main(["adversarial", "--m", "3", "--sigma", "6", "--seed", "5", "--out", str(out)]) == 0
@@ -415,7 +452,7 @@ def test_oversized_explicit_supports_fail_fast(tmp_path, capsys):
         start = time.perf_counter()
         assert main(["gs-interp", str(path)]) == 1
         assert time.perf_counter() - start < 1.0
-        assert "triangular" in capsys.readouterr().err
+        assert "positive integers" in capsys.readouterr().err
 
 
 def test_engine_fault_is_internal_error(instance_file, monkeypatch, capsys):

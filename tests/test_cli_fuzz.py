@@ -3,7 +3,9 @@
 Every document here is an input error (exit 1), a basis that fails
 verification (exit 2) or, when a mutation happens to leave a valid file,
 a success (exit 0); exit 3 would report an input fault as an engine
-fault.  Hypothesis runs derandomized and without an example database,
+fault.  The CLI maps no encoder error to an input error, so the
+``gs-interp`` cases hold ``GSProblem``'s own checks complete: a problem
+they let through that ``gs_instance`` or the engines cannot take exits 3.  Hypothesis runs derandomized and without an example database,
 so the cases are the same on every run and nothing is written to disk.
 """
 
@@ -33,6 +35,10 @@ VALID = {
     "gs-interp": {"p": 97, "num_y": 1, "exponents": [[0], [1]], "points": [[1, [2]], [3, [4]]],
                   "multiplicities": [2, 2], "weights": [1]},
 }
+# two Y variables, so that one-field mutations reach GSProblem's
+# per-variable checks: weights, Y-coordinates and exponent tuples
+GS_TWO_Y = {"p": 97, "num_y": 2, "exponents": [[0, 0], [1, 0], [0, 1]],
+            "points": [[1, [2, 3]], [4, [5, 6]]], "multiplicities": [2, 1], "weights": [1, 2]}
 KEYS = sorted({k for doc in VALID.values() for k in doc} | {"groups"})
 
 # small integers, and the edges of the field, of int64 and past it, which
@@ -89,7 +95,7 @@ def _run(command, doc, tmp_path):
 
 
 def test_valid_files_pass(tmp_path):
-    for command, doc in VALID.items():
+    for command, doc in [*VALID.items(), ("gs-interp", GS_TWO_Y)]:
         assert _run(command, doc, tmp_path) == 0
 
 
@@ -103,11 +109,15 @@ def test_random_documents_are_never_internal_errors(command, data, tmp_path):
     assert _run(command, doc, tmp_path) != INTERNAL_ERROR
 
 
-@pytest.mark.parametrize("command", sorted(VALID))
+@pytest.mark.parametrize(
+    "command, doc",
+    [*sorted(VALID.items()), ("gs-interp", GS_TWO_Y)],
+    ids=[*sorted(VALID), "gs-interp-num_y-2"],
+)
 @FIXED
 @given(data=st.data())
-def test_one_field_mutations_are_never_internal_errors(command, data, tmp_path):
-    assert _run(command, data.draw(mutations(VALID[command])), tmp_path) != INTERNAL_ERROR
+def test_one_field_mutations_are_never_internal_errors(command, doc, data, tmp_path):
+    assert _run(command, data.draw(mutations(doc)), tmp_path) != INTERNAL_ERROR
 
 
 @FIXED

@@ -91,7 +91,7 @@ class GSProblem:
             raise ValueError("one weight per Y variable is required")
         if len(self.multiplicities) != len(self.points):
             raise ValueError("one multiplicity per point is required")
-        if any(not isinstance(mu, int) or mu < 1 for mu in self.multiplicities):
+        if any(type(mu) is not int or mu < 1 for mu in self.multiplicities):
             raise ValueError("multiplicities must be positive integers")
         if any(len(ys) != r for _, ys in self.points):
             raise ValueError("points must have num_y Y-coordinates")

@@ -42,7 +42,7 @@ import random
 import statistics
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import linalg
 from .apps import (
@@ -83,14 +83,21 @@ def _check_size(m: int, sigma: int) -> None:
         raise InputError(f"m = {m}, sigma = {sigma}: m*m*(sigma+1) exceeds {MAX_CELLS}")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, keys: Tuple[str, ...]) -> dict:
+    """Read a JSON object whose values under ``keys``, the ones the caller
+    reads, are nested lists of integers.
+
+    Other values, such as the ``instance`` that ``gs-interp`` writes next
+    to its basis, may hold objects; no value anywhere may be a boolean, a
+    float or a string.
+    """
     # ValueError: not UTF-8, not JSON or past the digit limit; RecursionError: too deep
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if isinstance(data, dict):
-            for value in data.values():
-                _check_integers(value, path)
+            for key, value in data.items():
+                _check_integers(value, path, key not in keys)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -98,19 +105,19 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _check_integers(value, path: str) -> None:
-    """Reject every boolean, float, string and object below the top level
-    of a JSON document, whose own keys stay strings.
+def _check_integers(value, path: str, objects: bool) -> None:
+    """Reject every boolean, float and string in a JSON value, and every
+    object unless ``objects``; object keys stay strings.
 
     They would otherwise pass as integers (``true`` as 1, ``"3"`` through
     ``int()``, ``{"3": 0}`` as its keys) or be truncated where they are
-    packed into int64 arrays.  No file format nests an object.
+    packed into int64 arrays.
     """
-    if isinstance(value, (bool, float, str, dict)):
+    if isinstance(value, (bool, float, str)) or isinstance(value, dict) and not objects:
         raise InputError(f"{path}: {json.dumps(value)} is not an integer")
-    if isinstance(value, list):
-        for v in value:
-            _check_integers(v, path)
+    if isinstance(value, (list, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            _check_integers(v, path, objects)
 
 
 def _check_residues(value, p: int, what: str) -> None:
@@ -135,7 +142,7 @@ def _field_of(data: dict) -> Modulus:
 
 def load_instance(path: str) -> InterpInstance:
     """Parse {"p", "m", "jordan", "E", "shift"} into an instance."""
-    data = _load_json(path)
+    data = _load_json(path, ("p", "m", "jordan", "E", "shift"))
     field = _field_of(data)
     try:
         _check_residues(data["E"], field.p, "E")
@@ -196,7 +203,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     inst = load_instance(args.instance)
-    data = _load_json(args.basis)
+    data = _load_json(args.basis, ("basis", "delta"))
     try:
         _check_residues(data["basis"], inst.field.p, "basis")
         longest = inst.sigma + 1
@@ -277,7 +284,7 @@ def cmd_bench(args) -> int:
 
 
 def load_approximant(path: str) -> ApproximantProblem:
-    data = _load_json(path)
+    data = _load_json(path, ("p", "F", "orders", "shift"))
     field = _field_of(data)
     try:
         _check_residues(data["F"], field.p, "F")
@@ -296,7 +303,7 @@ def cmd_order_basis(args) -> int:
 
 
 def load_gs(path: str) -> GSProblem:
-    data = _load_json(path)
+    data = _load_json(path, ("p", "num_y", "exponents", "points", "multiplicities", "weights"))
     field = _field_of(data)
     try:
         return GSProblem(

@@ -140,7 +140,7 @@ def test_gs_validation_errors():
         GSProblem(F, 1, ((0,),), ((1, (2,)),), ((((0, 0), (1, 1)),)), (0,))
     holed = ((0, 0), (1, 0), (2, 0), (0, 1), (0, 2))  # mu = 3 without (1, 1)
     tri = ((0, 0), (1, 0), (0, 1))  # the triangular support of mu = 2
-    for support in ((), holed, ((0,), (1,)), ((0, 0, 0),), tri, 0, -1):
+    for support in ((), holed, ((0,), (1,)), ((0, 0, 0),), tri, 0, -1, True):
         with pytest.raises(ValueError, match="positive integers"):
             GSProblem(F, 1, ((0,),), ((1, (2,)),), (support,), (0,))
 

@@ -171,9 +171,11 @@ GS = {"p": 97, "num_y": 1, "exponents": [[0], [1]], "points": [[0, [1]]],
     ("gs-interp", {**GS, "exponents": [{"0": 5}, {"1": 7}]}),
     ("gs-interp", {**GS, "points": [[0, {"1": 0}]]}),
     ("solve", {"p": 97, "m": 2, "jordan": [[0, {"1": 0}]], "E": [[1], [1]], "shift": [0, 0]}),
+    ("check", {"p": 97, "basis": [[[0, 1], []], [[96], [1]]], "delta": {"1": 0, "0": 0}}),
+    ("gs-interp", {**GS, "weights": {"0": 1}}),
 ], ids=["solve-E", "solve-shift", "check-basis", "order-basis", "gs-point", "gs-multiplicity",
         "check-delta", "order-basis-orders", "gs-num_y", "gs-exponent-object", "gs-point-object",
-        "solve-jordan-object"])
+        "solve-jordan-object", "check-delta-object", "gs-weights-object"])
 def test_loaders_reject_floats_and_booleans(command, payload, instance_file, tmp_path, capsys):
     # each would otherwise be read as an integer (a string through int(),
     # an object as its keys), truncated, or fail inside
@@ -287,6 +289,20 @@ def test_gs_interp_command(tmp_path):
     data = json.loads(out.read_text())
     assert data["basis"] == [[[0, 1], []], [[96], [1]]]
     assert data["instance"]["E"] == [[1], [1]]
+
+
+def test_check_reads_gs_interp_output(tmp_path, capsys):
+    # the basis file gs-interp writes holds its instance as an object,
+    # which check does not read
+    path = tmp_path / "gs.json"
+    path.write_text(json.dumps({**GS, "exponents": [[0], [1], [2]],
+                                "points": [[1, [2]], [3, [4]]], "multiplicities": [2, 2]}))
+    out = tmp_path / "gs_out.json"
+    assert main(["gs-interp", str(path), "--out", str(out)]) == 0
+    inst = tmp_path / "gs_inst.json"
+    inst.write_text(json.dumps(json.loads(out.read_text())["instance"]))
+    assert main(["check", str(inst), str(out)]) == 0
+    assert capsys.readouterr().out.count(": ok") == 3
 
 
 def test_gs_interp_rejects_duplicates(tmp_path, capsys):

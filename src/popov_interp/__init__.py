@@ -15,7 +15,6 @@ from .mib_engine import (
     iterative_mib,
     iterative_weak_popov,
     kernel_oracle,
-    minimal_degree,
     minimal_interpolation_basis,
 )
 from .polymat import (
@@ -45,7 +44,6 @@ __all__ = [
     "kernel_oracle",
     "known_mindeg_mib",
     "matmul",
-    "minimal_degree",
     "minimal_interpolation_basis",
     "popov_mib",
     "residual",

@@ -55,7 +55,7 @@ from .apps import (
 )
 from .ff_poly import Modulus
 from .jordan_module import JordanSpec, standardize
-from .mib_engine import InterpInstance, interpolant_check, iterative_mib, minimal_degree
+from .mib_engine import InterpInstance, interpolant_check, iterative_mib, minimal_interpolation_basis
 from .polymat import PolyMat, is_popov
 from .popov_mib import known_mindeg_mib, popov_mib
 
@@ -191,9 +191,9 @@ def cmd_solve(args) -> int:
         basis, delta = iterative_mib(inst)
     elif args.engine == "popov":
         basis, delta = popov_mib(inst)
-    else:  # oracle-check: the known-degree rebuild against the elimination
+    else:  # oracle-check: the Mib's degrees and their rebuild against the elimination
         basis, delta = iterative_mib(inst)
-        mindeg = minimal_degree(inst)
+        mindeg = minimal_interpolation_basis(inst)[1]
         if mindeg != delta or known_mindeg_mib(inst, mindeg) != basis:
             print("engine mismatch: known-degree and iterative outputs differ", file=sys.stderr)
             return CHECK_FAILED

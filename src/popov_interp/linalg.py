@@ -20,9 +20,10 @@ import numpy as np
 
 
 def as_matrix(rows, p: int) -> np.ndarray:
+    """The rows as a 2-D int64 array of residues; no rows is 0 x 0."""
     a = np.array(rows, dtype=np.int64)
     if a.ndim != 2:
-        a = a.reshape(len(rows), -1)
+        a = a.reshape(len(rows), -1 if a.size else 0)
     return a % p
 
 
@@ -73,8 +74,6 @@ def _echelonize(m: np.ndarray, p: int, ncols: int) -> int:
 
 def rank_mod(rows, p: int) -> int:
     m = as_matrix(rows, p)
-    if m.size == 0:
-        return 0
     return _echelonize(m, p, m.shape[1])
 
 

@@ -2,54 +2,34 @@
 
 Every engine returns ``(basis, pivot degrees)``.
 
-``iterative_mib`` processes the constraints one by one, M-Pade style:
-at each constraint it reads a scalar discrepancy per basis row,
-eliminates it from all rows using the minimal row, multiplies that row by
-(X - x), and finally normalizes the accumulated weak Popov basis to the
-canonical shifted Popov form.  It is the reference engine the
-known-degree rebuild is checked against, and also PopovMib's base case:
-``popov_mib`` returns it up to ``LEAF * m`` constraints.  What stays
-independent of it is ``kernel_oracle``'s kernel dimensions, the
+``iterative_weak_popov`` is the one elimination kernel.  It processes
+the constraints one by one, M-Pade style: at each constraint it reads a
+scalar discrepancy per basis row, eliminates it from all rows using the
+minimal row and multiplies that row by (X - x).  Its s-diagonal weak
+Popov basis is the Mib's base case.  ``iterative_mib`` normalizes it to
+the canonical shifted Popov form: it is the reference engine the
+known-degree rebuild is checked against, and also PopovMib's base case,
+as ``popov_mib`` returns it up to ``LEAF * m`` constraints.  What stays
+independent of the kernel is ``kernel_oracle``'s kernel dimensions, the
 generation certificate of the CLI's ``check`` and the golden bases the
-tests record.  Un-normalized, the same elimination is the Mib's base
-case, ``iterative_weak_popov``.  It keeps one
-``(m, sigma + m*(sigma+1))`` int64 array: row i holds the residual of
-basis row i, in column order, then basis row i degree-major.  Columns
-already processed are zero mod p in every row and the pivot row is zero
-past its length bound n, so each constraint touches only the live window
-``[pos, sigma + (n+1)*m)`` of that array, about ten numpy calls for the
-whole step.  Reduction is lazy: a step reduces the discrepancy column
-and the pivot row, which it reads, and every other row moves by less
-than (p-1)**2, so the columns moved since the last remainder are
-reduced once ``(2**63-1) // ((p-1)**2 + p) - 2`` steps have passed, and
-at the end.  Near 2**31 that is after every step, and the step then
-reduces nothing else.
-The width of the array decides whether a basis is carried: on E alone,
-width sigma, the same loop (``_eliminate``) gives the same pivots and
-degrees and builds nothing else.
+tests record.
 
 ``minimal_interpolation_basis`` (the Mib) is the one divide-and-conquer
 recursion: it cuts the constraint space in two (``split_leading``),
 solves the left half, pushes the residual through, solves the right half
 with the shift bumped by the left pivot degrees, and multiplies the two
-bases.  Its output is a shifted diagonal weak Popov basis, never
-normalized, so for unbalanced shifts it can be far larger than the
-Popov basis; its pivot degrees are the shifted minimal degree.  Its
+bases; ``solve_left`` does all but the right solve and the product, and
+forms the residual only from the block holding the cut on: the left
+basis's residual vanishes before the cut.  Its output is a shifted
+diagonal weak Popov basis, never normalized, so for unbalanced shifts it
+can be far larger than the Popov basis; its pivot degrees are the
+shifted minimal degree, which is what ``popov_mib`` reads of it.  Its
 leaves hold up to ``LEAF * m`` constraints, not the paper's m, as each
 node costs a residual, a product and their numpy call overhead; the
 shift bump reproduces the elimination's s-degrees, so the output is the
 same for any bound.  The halves and the residual are column slices of
 ``(m, sigma)`` int64 arrays of residues, like ``InterpInstance.E``, and
 keep the Jordan blocks in constraint order.
-
-``minimal_degree`` is the same recursion restricted to what the paper's
-PopovMib needs first, the degrees: its leaves eliminate on E alone, and
-above a leaf it solves only the left half with the Mib, whose basis the
-residual needs, and recurses on the right half, so the right spine
-builds no basis and no product is formed at its nodes.  Both recursions
-split, push the residual and bump the shift through ``solve_left``,
-which forms the residual only from the block holding the cut on: the
-left basis's residual vanishes before the cut.
 
 ``interpolant_check`` verifies a row from the definition of the module
 action, ``p . E = sum_k p_k (X**k . E)``: it gathers the rows
@@ -223,27 +203,41 @@ def interpolant_check(row: Sequence[Poly], inst: InterpInstance) -> bool:
     return not linalg.matmul_mod(c[None], inst.powers.gather(lengths), p).any()
 
 
-def _eliminate(aug: np.ndarray, jordan: JordanSpec, p: int, shift: Sequence[int]):
-    """Eliminate every constraint on the state array ``aug``, in place.
+def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
+    """Un-normalized s-diagonal weak Popov basis and its pivot degrees.
 
-    Row i of ``aug`` holds the residual of basis row i in its first sigma
-    columns; what follows, if anything, is basis row i degree-major, the
-    coefficient of X**k in entry j at ``sigma + k*m + j``.  The width
-    decides what is carried: ``sigma + m*(sigma+1)`` with the identity
-    there carries the basis, ``sigma`` (E alone) carries none, and the
-    pivots are the same either way.  Returns the pivot degrees and the
-    basis length bound; the basis columns come back reduced.
+    Constraint-by-constraint elimination.  Ties in s-degree go to the
+    lowest row index, so the basis stays in s-diagonal weak Popov form
+    throughout and row i's pivot degree is its number of (X - x) factors.
+
+    All state is one ``(m, sigma + m*(sigma+1))`` int64 array: row i
+    holds the residual of basis row i, in column order, then basis row i
+    degree-major, the coefficient of X**k in entry j at
+    ``sigma + k*m + j``, starting from E and the identity.  At constraint
+    ``pos`` the columns before pos are zero mod p in every row, and the
+    pivot row is zero from its length bound n on, so the step works on
+    the live window ``[pos, sigma + (n+1)*m)``: the residual from column
+    pos on and the basis up to degree n, one basic slice and about ten
+    numpy calls.  The elimination subtracts c times the pivot row from
+    every row at once (c is 0 on the pivot and on rows whose discrepancy
+    is 0), and the pivot row is multiplied by X - x: X shifts its basis
+    part by m and acts on its residual as one Jordan step.  Reduction is
+    lazy: a step reduces the discrepancy column and the pivot row, which
+    it reads, and the columns moved since the last remainder are reduced
+    only when int64 headroom runs out, and once at the end.
     """
-    m, width = aug.shape
-    sigma = jordan.total
-    xs, carry = column_action(jordan, p)
+    m, sigma, p = inst.m, inst.sigma, inst.field.p
+    aug = np.zeros((m, sigma + m * (sigma + 1)), dtype=np.int64)
+    aug[:, :sigma] = inst.E
+    aug[:, sigma : sigma + m] = np.eye(m, dtype=np.int64)  # the identity basis
+    xs, carry = column_action(inst.jordan, p)
     # the multiplier of X - x is base - x: the eigenvalues on the residual,
     # 0 on the basis
-    base = np.zeros(width, dtype=np.int64)
+    base = np.zeros(aug.shape[1], dtype=np.int64)
     base[:sigma] = xs
     link = carry[1:].astype(bool)  # column t takes column t-1's value
     xs = xs.tolist()
-    sdeg = list(shift)
+    sdeg = list(inst.shift)
     lens = [1] * m  # row i is zero from degree lens[i] on
 
     # Each step moves only its window [pos, end).  The values it reads,
@@ -272,7 +266,7 @@ def _eliminate(aug: np.ndarray, jordan: JordanSpec, p: int, shift: Sequence[int]
         if pi < 0:
             continue
         n = lens[pi]
-        end = min(sigma + (n + 1) * m, width)
+        end = sigma + (n + 1) * m
         row = aug[pi, pos:end]
         if steps:
             np.remainder(row, p, out=row)
@@ -302,40 +296,11 @@ def _eliminate(aug: np.ndarray, jordan: JordanSpec, p: int, shift: Sequence[int]
             moved = aug[:, pos + 1 : hi]
             np.remainder(moved, p, out=moved)
             steps = hi = 0
-    basis = aug[:, sigma:hi]
+    n = max(lens)
+    basis = aug[:, sigma : sigma + n * m]
     np.remainder(basis, p, out=basis)
-    return tuple(d - s for d, s in zip(sdeg, shift)), max(lens)
-
-
-def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
-    """Un-normalized s-diagonal weak Popov basis and its pivot degrees.
-
-    Constraint-by-constraint elimination.  Ties in s-degree go to the
-    lowest row index, so the basis stays in s-diagonal weak Popov form
-    throughout and row i's pivot degree is its number of (X - x) factors.
-
-    All state is one ``(m, sigma + m*(sigma+1))`` int64 array: row i
-    holds its residual, then basis row i degree-major, the coefficient of
-    X**k in entry j at ``sigma + k*m + j``, starting from the identity.
-    At constraint ``pos`` the columns before pos are zero mod p in every
-    row, and the pivot row is zero from its length bound n on, so the
-    step works on the live window ``[pos, sigma + (n+1)*m)``: the residual
-    from column pos on and the basis up to degree n, one basic slice.  The
-    elimination subtracts c times the pivot row from every row at once (c
-    is 0 on the pivot and on rows whose discrepancy is 0), and the pivot
-    row is multiplied by X - x: X shifts its basis part by m and acts on
-    its residual as one Jordan step.  Reduction is lazy: each step reduces
-    the discrepancy column and the pivot row, and the columns moved since
-    the last remainder are reduced only when int64 headroom runs out (see
-    ``_eliminate``), and once at the end.  ``minimal_degree`` runs the
-    same loop on E alone.
-    """
-    m, sigma = inst.m, inst.sigma
-    aug = np.zeros((m, sigma + m * (sigma + 1)), dtype=np.int64)
-    aug[:, :sigma] = inst.E
-    aug[:, sigma : sigma + m] = np.eye(m, dtype=np.int64)  # the identity basis
-    degrees, n = _eliminate(aug, inst.jordan, inst.field.p, inst.shift)
-    basis = aug[:, sigma : sigma + n * m].reshape(m, n, m).transpose(0, 2, 1)
+    basis = basis.reshape(m, n, m).transpose(0, 2, 1)
+    degrees = tuple(d - s for d, s in zip(sdeg, inst.shift))
     return PolyMat.from_coeffs(inst.field, np.ascontiguousarray(basis)), degrees
 
 
@@ -402,19 +367,6 @@ def minimal_interpolation_basis(inst: InterpInstance) -> Tuple[PolyMat, MinimalD
     p1, d1, inst2 = solve_left(inst)
     p2, d2 = minimal_interpolation_basis(inst2)
     return matmul(p2, p1), tuple(a + b for a, b in zip(d1, d2))
-
-
-def minimal_degree(inst: InterpInstance) -> MinimalDegree:
-    """The s-minimal degree: the Mib's pivot degrees, without its basis.
-
-    A leaf eliminates on E alone.  Above a leaf only the left half needs
-    a basis, for the residual; the right half is again a degree problem,
-    so the right spine builds no basis and no product is formed.
-    """
-    if inst.sigma <= LEAF * inst.m:
-        return _eliminate(np.array(inst.E), inst.jordan, inst.field.p, inst.shift)[0]
-    _, d1, inst2 = solve_left(inst)
-    return tuple(a + b for a, b in zip(d1, minimal_degree(inst2)))
 
 
 def kernel_oracle(inst: InterpInstance, bound: int) -> List[List[Poly]]:

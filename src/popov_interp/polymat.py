@@ -264,8 +264,13 @@ def matmul(a: PolyMat, b: PolyMat) -> PolyMat:
     for g in range(2 * c - 1):
         us = range(max(0, g - c + 1), min(g, c - 1) + 1)
         z = np.fft.irfft(sum(fa[u] @ fb[g - u] for u in us), 2**n, axis=0)[:size]
-        out += (np.rint(z).astype(np.int64) % p * pow(2, w * g, p)).transpose(1, 2, 0)
+        # in place, and freed before the next group's transform
+        z = np.rint(z, out=z).astype(np.int64)
+        z %= p
+        z *= pow(2, w * g, p)
+        out += z.transpose(1, 2, 0)
         out %= p
+        del z
     return PolyMat.from_coeffs(a.field, out)
 
 

@@ -3,11 +3,10 @@
 ``popov_mib`` follows the paper's PopovMib.  Up to the Mib's base case,
 sigma <= ``mib_engine.LEAF * m``, it takes the Mib's base case too:
 ``iterative_mib``, one elimination and one normalization.  Above that
-bound it first computes only the degrees, the shifted minimal degree of
-the instance (``mib_engine.minimal_degree``: the Mib's recursion with no
-basis on its right spine and leaves that eliminate on E alone; the
-shifted pivot degrees of any shifted diagonal weak Popov basis are that
-degree).  It hands them to ``known_mindeg_mib``, which builds the
+bound it solves the instance with ``minimal_interpolation_basis`` and
+keeps only the pivot degrees: the shifted pivot degrees of any shifted
+diagonal weak Popov basis are the shifted minimal degree of the
+instance.  It hands them to ``known_mindeg_mib``, which builds the
 canonical basis from scratch, once, at the root:
 
 * the columns are partially linearized in degree ceil(sigma/m) against
@@ -40,14 +39,17 @@ recursion so that every intermediate basis has O(m*sigma) coefficients
 for any shift.  Here only the root is normalized, and the Mib's bases
 are not so bounded: on ``apps.adversarial_instance(8, 256, 0)`` (16
 rows, sigma = 256, one leaf) the Mib's basis has 18,007 coefficients
-against the Popov basis's 2,334 and 16*(sigma+1) = 4,112.
+against the Popov basis's 2,334 and 16*(sigma+1) = 4,112.  The degree
+solve also forms the root's product, of which only the pivot degrees
+are read: a dense array of at most m*m*(sigma+1) coefficients, the bound
+``cli`` puts on an instance, dropped before the rebuild starts.  That
+is the price of one recursion instead of a second one for the degrees.
 
 Nothing is recorded along the way.  ``popov_mib`` calls
-``iterative_mib``, ``minimal_degree`` and ``known_mindeg_mib``, and the
-rebuild calls the Mib, through their module-level names here;
-``minimal_degree`` and the Mib recurse through their own names in
-``mib_engine``, so a caller that wants to see every split wraps those
-bindings.
+``iterative_mib``, the Mib and ``known_mindeg_mib``, and the rebuild
+calls the Mib, through their module-level names here; the Mib recurses
+through its own name in ``mib_engine``, so a caller that wants to see
+every split wraps both bindings.
 """
 
 from __future__ import annotations
@@ -59,13 +61,7 @@ import numpy as np
 
 from . import linalg, mib_engine
 from .jordan_module import strided_powers
-from .mib_engine import (
-    InterpInstance,
-    MinimalDegree,
-    iterative_mib,
-    minimal_degree,
-    minimal_interpolation_basis,
-)
+from .mib_engine import InterpInstance, MinimalDegree, iterative_mib, minimal_interpolation_basis
 from .polymat import PolyMat, is_popov
 
 
@@ -158,10 +154,10 @@ def popov_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     """The s-Popov interpolation basis and the s-minimal degree.
 
     Up to ``LEAF * m`` constraints, sigma = 0 included, this is
-    ``iterative_mib``; above, the minimal degree is fed to the
+    ``iterative_mib``; above, the Mib's pivot degrees are fed to the
     known-degree rebuild.
     """
     if inst.sigma <= mib_engine.LEAF * inst.m:
         return iterative_mib(inst)
-    mindeg = minimal_degree(inst)
+    mindeg = minimal_interpolation_basis(inst)[1]
     return known_mindeg_mib(inst, mindeg), mindeg

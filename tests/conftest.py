@@ -87,14 +87,12 @@ def capture(monkeypatch, name, modules=(POPOV_MIB,)):
     """Record ``(args, result)`` of every call made through ``<module>.<name>``.
 
     Each module's binding is wrapped, all recording into one list in the
-    order the calls return.  ``popov_mib`` calls ``iterative_mib``,
-    ``minimal_degree`` and ``known_mindeg_mib`` through its own bindings,
-    the rebuild calls the Mib through ``popov_mib``'s, and the recursions
-    call it through ``mib_engine``'s.  So wrapping both Mib bindings sees
-    every Mib node of a solve past the leaf: the trees of the left halves
-    ``minimal_degree`` solves, in order, then the rebuild's tree.
-    ``minimal_degree``'s right spine builds no basis and makes no Mib
-    call.
+    order the calls return.  ``popov_mib`` calls ``iterative_mib``, the
+    Mib and ``known_mindeg_mib`` through its own bindings, the rebuild
+    calls the Mib through ``popov_mib``'s, and the recursion calls it
+    through ``mib_engine``'s.  So wrapping both Mib bindings sees every
+    Mib node of a solve past the leaf: the instance's tree, whose root
+    gives the degrees, then the rebuild's tree.
     """
     calls = []
     for module in modules:

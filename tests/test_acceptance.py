@@ -19,7 +19,6 @@ from popov_interp import (
     kernel_oracle,
     known_mindeg_mib,
     matmul,
-    minimal_degree,
     minimal_interpolation_basis,
     popov_mib,
     shifted_row_degree,
@@ -105,22 +104,18 @@ def test_criterion_3_pivot_degree_additivity(monkeypatch):
         if inst.sigma <= MIB_ENGINE.LEAF * inst.m:
             continue
         mibs.clear()
-        # through the module binding, so the root is recorded too
-        MIB_ENGINE.minimal_interpolation_basis(inst)
-        splits, [(root, mib, mib_degrees)] = mib_splits(mibs)
-        assert root is inst
-        mibs.clear()
         popov, delta = popov_mib(inst)
-        solve_splits, roots = mib_splits(mibs)
-        # the Mibs of minimal_degree's left halves, the first the
-        # instance's own, then the one inside the rebuild, which keeps the
+        splits, roots = mib_splits(mibs)
+        # two Mib roots: the instance's own, whose pivot degrees popov_mib
+        # keeps, then the one inside the rebuild, which keeps the
         # instance's Jordan data and has one row per expansion chunk
-        *lefts, (rebuild, _, _) = roots
-        assert lefts and lefts[0][0].sigma == -(-inst.sigma // 2)
-        assert all(node.jordan is not inst.jordan for node, _, _ in lefts)
+        [(root, mib, mib_degrees), (rebuild, _, _)] = roots
+        assert root is inst
+        [(_, _, _, (half, _, _), _)] = [split for split in splits if split[0] is inst]
+        assert half.sigma == -(-inst.sigma // 2)
         assert rebuild.jordan is inst.jordan
         assert rebuild.m == sum(build_expansion(delta, inst.m, inst.sigma).alpha)
-        for node, basis, mindeg, (_, left, d1), (_, right, d2) in splits + solve_splits:
+        for node, basis, mindeg, (_, left, d1), (_, right, d2) in splits:
             s = node.shift
             assert mindeg == tuple(a + b for a, b in zip(d1, d2))
             assert basis.rows == matmul(right, left).rows
@@ -128,7 +123,7 @@ def test_criterion_3_pivot_degree_additivity(monkeypatch):
             assert tuple(basis.lengths.diagonal() - 1) == mindeg
             assert weak_popov_to_popov(basis, s).rows == iterative_mib(node)[0].rows
             splits_checked += 1
-        assert delta == minimal_degree(inst) == mib_degrees
+        assert delta == mib_degrees
         assert weak_popov_to_popov(mib, inst.shift).rows == popov.rows
         done += 1
     print(f"\nACCEPTANCE 3: PASS - {done} instances, {splits_checked} splits: "

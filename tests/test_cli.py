@@ -74,6 +74,21 @@ def test_oracle_check_reports_a_mismatch(instance_file, tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+def test_oracle_check_reports_a_degree_mismatch(instance_file, tmp_path, monkeypatch, capsys):
+    # a Mib whose degrees disagree with the elimination's fails the check
+    # before any rebuild
+    from popov_interp import cli
+
+    mib = cli.minimal_interpolation_basis
+    monkeypatch.setattr(
+        cli, "minimal_interpolation_basis", lambda inst: (mib(inst)[0], (0,) * inst.m)
+    )
+    out = tmp_path / "basis.json"
+    assert main(["solve", str(instance_file), "--engine", "oracle-check", "--out", str(out)]) == 2
+    assert "engine mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_is_deterministic(instance_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["solve", str(instance_file), "--out", str(a)]) == 0

@@ -86,3 +86,15 @@ def test_elimination_matches_python_integers(rng):
             else:
                 with pytest.raises(ValueError, match="square"):
                     inv_mod(a, p)
+
+
+def test_no_rows():
+    # an empty row list is a 0 x 0 matrix: rank 0, an empty inverse and
+    # an empty nullspace, at every prime
+    for p in PRIMES:
+        assert rank_mod([], p) == 0
+        assert inv_mod([], p).shape == (0, 0)
+        assert left_nullspace([], p).shape == (0, 0)
+        # rows of no columns are independent of nothing: all in the nullspace
+        assert rank_mod([[], []], p) == 0
+        assert left_nullspace([[], []], p).tolist() == [[1, 0], [0, 1]]

@@ -26,7 +26,6 @@ from popov_interp import (
     kernel_oracle,
     known_mindeg_mib,
     matmul,
-    minimal_degree,
     minimal_interpolation_basis,
     popov_mib,
     weak_popov_to_popov,
@@ -232,19 +231,13 @@ def test_popov_mib_split_records(rng, monkeypatch):
         if inst.sigma <= MIB_ENGINE.LEAF * inst.m:
             continue
         mibs.clear()
-        # through the module binding, so the root is recorded too
-        MIB_ENGINE.minimal_interpolation_basis(inst)
-        splits, [(root, _, root_degrees)] = mib_splits(mibs)
-        assert splits and root is inst
-        mibs.clear()
         basis, delta = popov_mib(inst)
-        solve_splits, roots = mib_splits(mibs)
-        # minimal_degree's left halves, then the rebuild's Mib
-        *lefts, (rebuild, _, _) = roots
-        assert lefts and rebuild.jordan is inst.jordan
-        for node, prod, mindeg, (left_node, left, d1), (right_node, right, d2) in (
-            splits + solve_splits
-        ):
+        splits, roots = mib_splits(mibs)
+        # the instance's own Mib, whose degrees popov_mib keeps, then the
+        # rebuild's
+        [(root, _, root_degrees), (rebuild, _, _)] = roots
+        assert splits and root is inst and rebuild.jordan is inst.jordan
+        for node, prod, mindeg, (left_node, left, d1), (right_node, right, d2) in splits:
             assert left_node.sigma == -(-node.sigma // 2)
             assert left_node.sigma + right_node.sigma == node.sigma
             assert mindeg == tuple(a + b for a, b in zip(d1, d2))
@@ -260,7 +253,7 @@ def test_popov_mib_split_records(rng, monkeypatch):
             assert weak_popov_to_popov(prod, s).rows == ref.rows
             # the degree tuple matches an independent run on that node
             assert ref_delta == mindeg
-        assert delta == minimal_degree(inst) == root_degrees
+        assert delta == root_degrees
         assert is_popov(basis, inst.shift)
         seen += 1
 
@@ -295,7 +288,7 @@ def test_popov_mib_matches_iterative(rng):
         basis, delta = popov_mib(inst)
         assert (basis, delta) == iterative_mib(inst)
         # a leaf, so popov_mib is iterative_mib: the rebuild is the check
-        assert known_mindeg_mib(inst, minimal_degree(inst)) == basis
+        assert known_mindeg_mib(inst, minimal_interpolation_basis(inst)[1]) == basis
 
 
 def test_popov_mib_matches_iterative_deep_recursion(rng):

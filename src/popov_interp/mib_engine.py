@@ -15,21 +15,22 @@ generation certificate of the CLI's ``check`` and the golden bases the
 tests record.
 
 ``minimal_interpolation_basis`` (the Mib) is the one divide-and-conquer
-recursion: it cuts the constraint space in two (``split_leading``),
-solves the left half, pushes the residual through, solves the right half
-with the shift bumped by the left pivot degrees, and multiplies the two
-bases; ``solve_left`` does all but the right solve and the product, and
-forms the residual only from the block holding the cut on: the left
-basis's residual vanishes before the cut.  Its output is a shifted
-diagonal weak Popov basis, never normalized, so for unbalanced shifts it
-can be far larger than the Popov basis; its pivot degrees are the
-shifted minimal degree, which is what ``popov_mib`` reads of it.  Its
-leaves hold up to ``LEAF * m`` constraints, not the paper's m, as each
-node costs a residual, a product and their numpy call overhead; the
-shift bump reproduces the elimination's s-degrees, so the output is the
-same for any bound.  The halves and the residual are column slices of
-``(m, sigma)`` int64 arrays of residues, like ``InterpInstance.E``, and
-keep the Jordan blocks in constraint order.
+recursion, the paper's step in one function: it cuts the constraint
+space in two (``split_leading``, which also names the block holding the
+cut), solves the left half, pushes the residual through, solves the
+right half with the shift bumped by the left pivot degrees, and
+multiplies the two bases.  The residual is formed only from the block
+holding the cut on: the left basis's residual vanishes before the cut.
+Its output is a shifted diagonal weak Popov basis, never normalized, so
+for unbalanced shifts it can be far larger than the Popov basis; its
+pivot degrees are the shifted minimal degree, which is what
+``popov_mib`` reads of it.  Its leaves hold up to ``LEAF * m``
+constraints, not the paper's m, as each node costs a residual, a product
+and their numpy call overhead; the shift bump reproduces the
+elimination's s-degrees, so the output is the same for any bound.  The
+halves and the residual are column slices of ``(m, sigma)`` int64 arrays
+of residues, like ``InterpInstance.E``, and keep the Jordan blocks in
+constraint order.
 
 ``interpolant_check`` verifies a row from the definition of the module
 action, ``p . E = sum_k p_k (X**k . E)``: it gathers the rows
@@ -310,46 +311,24 @@ def iterative_mib(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
     return weak_popov_to_popov(weak, inst.shift), delta
 
 
-def split_leading(inst: InterpInstance) -> Tuple[InterpInstance, JordanSpec]:
-    """The leading sub-instance at cut ceil(sigma/2), and the trailing blocks.
+def split_leading(inst: InterpInstance) -> Tuple[InterpInstance, int, JordanSpec]:
+    """The leading sub-instance at cut ceil(sigma/2), the index b of the
+    block holding the cut, and the trailing blocks.
 
-    The cut may fall inside a block, in which case the block is divided
-    into its leading and trailing principal parts with the same
-    eigenvalue.  Both halves keep the blocks in constraint order.
+    b is found with one bisection of the block offsets; on a block
+    boundary it is the block that starts at the cut.  A cut inside block
+    b divides it into its leading and trailing principal parts with the
+    same eigenvalue.  Both halves keep the blocks in constraint order.
     """
     cut = -(-inst.sigma // 2)
-    blocks1, blocks2 = [], []
-    pos = 0
-    for x, n in inst.jordan.blocks:
-        if pos + n <= cut:
-            blocks1.append((x, n))
-        elif pos >= cut:
-            blocks2.append((x, n))
-        else:
-            blocks1.append((x, cut - pos))
-            blocks2.append((x, pos + n - cut))
-        pos += n
-    inst1 = InterpInstance(inst.field, inst.E[:, :cut], JordanSpec(tuple(blocks1)), inst.shift)
-    return inst1, JordanSpec(tuple(blocks2))
-
-
-def solve_left(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree, InterpInstance]:
-    """The left half's basis P1 and pivot degrees d1, and the right half.
-
-    The left half from ``split_leading`` is solved by the Mib; the right
-    half is the residual of P1 against E, restricted to the trailing
-    blocks, under the shift bumped by d1.  P1's residual vanishes left of
-    the cut, and X carries across the cut inside a block, so only the
-    columns from the start of the block holding the cut on are formed.
-    """
-    inst1, jordan2 = split_leading(inst)
-    p1, d1 = minimal_interpolation_basis(inst1)
-    cut = inst1.sigma
-    b = bisect.bisect_right(inst.jordan.offsets, cut) - 1
-    start = inst.jordan.offsets[b]
-    rem = residual(p1, inst.E[:, start:], JordanSpec(inst.jordan.blocks[b:]))
-    shift2 = tuple(sv + dv for sv, dv in zip(inst.shift, d1))
-    return p1, d1, InterpInstance(inst.field, rem[:, cut - start :], jordan2, shift2)
+    blocks, offsets = inst.jordan.blocks, inst.jordan.offsets
+    b = bisect.bisect_right(offsets, cut) - 1
+    x, n = blocks[b]
+    head = cut - offsets[b]  # 0 on a boundary, n only at sigma = 1
+    blocks1 = blocks[:b] + ((x, head),) * (head > 0)
+    blocks2 = ((x, n - head),) * (head < n) + blocks[b + 1 :]
+    inst1 = InterpInstance(inst.field, inst.E[:, :cut], JordanSpec(blocks1), inst.shift)
+    return inst1, b, JordanSpec(blocks2)
 
 
 def minimal_interpolation_basis(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
@@ -357,16 +336,25 @@ def minimal_interpolation_basis(inst: InterpInstance) -> Tuple[PolyMat, MinimalD
     and its pivot degrees.
 
     Up to ``LEAF * m`` constraints this is ``iterative_weak_popov``.
-    Otherwise ``solve_left`` gives the left half's basis P1, its pivot
-    degrees d1 and the right half, which is solved into P2 with pivot
-    degrees d2.  P2 * P1 is an s-diagonal weak Popov interpolation basis
-    with pivot degrees d1 + d2.
+    Otherwise the left half is solved into P1 with pivot degrees d1, and
+    P1's residual, which vanishes left of the cut, is formed from the
+    start of the block holding the cut on (``split_leading``'s b), as X
+    carries across a cut inside a block.  Its
+    columns from the cut on, under the shift bumped by d1, are solved
+    into P2 with pivot degrees d2; P2 * P1 is an s-diagonal weak Popov
+    interpolation basis with pivot degrees d1 + d2.
     """
     if inst.sigma <= LEAF * inst.m:
         return iterative_weak_popov(inst)
-    p1, d1, inst2 = solve_left(inst)
+    inst1, b, jordan2 = split_leading(inst)
+    p1, d1 = minimal_interpolation_basis(inst1)
+    start = inst.jordan.offsets[b]
+    rem = residual(p1, inst.E[:, start:], JordanSpec(inst.jordan.blocks[b:]))
+    shift2 = tuple(s + d for s, d in zip(inst.shift, d1))
+    inst2 = InterpInstance(inst.field, rem[:, inst1.sigma - start :], jordan2, shift2)
+    del inst1, rem  # inst2 holds a copy: neither lives through the right solve
     p2, d2 = minimal_interpolation_basis(inst2)
-    return matmul(p2, p1), tuple(a + b for a, b in zip(d1, d2))
+    return matmul(p2, p1), tuple(u + v for u, v in zip(d1, d2))
 
 
 def kernel_oracle(inst: InterpInstance, bound: int) -> List[List[Poly]]:

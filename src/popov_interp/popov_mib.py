@@ -25,14 +25,15 @@ canonical basis from scratch, once, at the root:
   expanded form, and adding the shifted chunks compresses them back.
 
 A degree that is not the minimal degree of the instance raises
-ValueError("inconsistent minimal degree") when it shows up as an exceeded
-column degree, a singular leading matrix, or a result that is not in
-s-Popov form with those diagonal degrees.  A basis that comes back is
-therefore an s-Popov matrix with the given degrees whose rows are
-interpolants.  That it generates the module is not checked: it does
-when the degrees sum to the true minimal degree sum, the degree of the
-determinant of every interpolation basis, but a wrong degree tuple with
-a larger sum can pass and yield a basis of a proper submodule.
+ValueError("inconsistent minimal degree") when it shows up as a sum past
+sigma, before anything is built, an exceeded column degree, a singular
+leading matrix, or a result that is not in s-Popov form with those
+diagonal degrees.  A basis that comes back is therefore an s-Popov
+matrix with the given degrees whose rows are interpolants.  That it
+generates the module is not checked: it does when the degrees sum to the
+true minimal degree sum, the degree of the determinant of every
+interpolation basis, but a wrong degree tuple with a larger sum, at most
+sigma, can pass and yield a basis of a proper submodule.
 
 This departs from the paper, which normalizes at every node of the
 recursion so that every intermediate basis has O(m*sigma) coefficients
@@ -86,10 +87,11 @@ def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
     sigma constraints.
 
     Every column is cut into chunks of ceil(sigma/m), at least 1 so that
-    sigma = 0 has a plan.  A minimal degree sums to at most sigma, so the
-    plan has at most 2m chunks: sum(mindeg)/chunk + m <= 2m, and the
-    expanded shift is balanced, which keeps the rebuild's Mib within the
-    paper's cost bound for any degree profile.
+    sigma = 0 has a plan.  A minimal degree sums to the colength, at most
+    sigma, and a larger sum is an inconsistent minimal degree, a
+    ValueError.  So the plan has at most 2m chunks, sum(mindeg)/chunk + m
+    <= 2m, and the expanded shift is balanced, which keeps the rebuild's
+    Mib within the paper's cost bound for any degree profile.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -97,6 +99,8 @@ def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
         raise ValueError("minimal degree length does not match m")
     if any(d < 0 for d in mindeg):
         raise ValueError("minimal degrees must be nonnegative")
+    if sum(mindeg) > sigma:
+        raise ValueError("inconsistent minimal degree: the degrees sum past sigma")
     chunk = max(1, -(-sigma // m))
     alpha = tuple(d // chunk + 1 for d in mindeg)
     deltabar: List[int] = []
@@ -108,9 +112,10 @@ def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
 def known_mindeg_mib(inst: InterpInstance, mindeg: MinimalDegree) -> PolyMat:
     """The s-Popov interpolation basis, given its true diagonal degrees.
 
-    Raises ValueError("inconsistent minimal degree") when the expanded
-    basis exceeds the expanded degrees, its leading matrix is singular,
-    or the result is not in s-Popov form with diagonal degrees mindeg;
+    Raises ValueError("inconsistent minimal degree") when mindeg sums
+    past sigma, the expanded basis exceeds the expanded degrees, its
+    leading matrix is singular, or the result is not in s-Popov form
+    with diagonal degrees mindeg;
     see the module docstring for what that does and does not catch.
     """
     field = inst.field

@@ -18,7 +18,7 @@ from popov_interp import (
     weak_popov_to_popov,
 )
 from popov_interp.jordan_module import residual
-from popov_interp.mib_engine import solve_left, split_leading
+from popov_interp.mib_engine import split_leading
 from reference import determinant, poly_deg
 
 F = Modulus(97)
@@ -139,30 +139,85 @@ def test_signed_shifts(rng):
         )
 
 
-def test_solve_left_forms_the_residual_from_the_cut_block(rng, monkeypatch):
-    # sigma = 10 cuts at 5: inside a block, on a block boundary, on a
-    # boundary followed by a block of the same eigenvalue, and inside the
-    # first block; the residual is formed from the start of the block
-    # holding the cut on
+def test_mib_forms_the_residual_from_the_cut_block(rng, monkeypatch):
+    # sigma = 10 at m = 2 and LEAF = 3 splits once, at 5, into two leaves:
+    # the cut falls inside a block, on a block boundary, on a boundary
+    # followed by a block of the same eigenvalue, and inside the first
+    # block; the residual is formed from the start of block b, the block
+    # holding the cut, on
+    monkeypatch.setattr(MIB_ENGINE, "LEAF", 3)
     residuals = capture(monkeypatch, "residual", (MIB_ENGINE,))
+    mibs = capture(monkeypatch, "minimal_interpolation_basis", (MIB_ENGINE,))
     cases = [
-        (((3, 2), (5, 4), (7, 4)), 2),
-        (((3, 2), (5, 3), (7, 5)), 5),
-        (((3, 2), (5, 3), (5, 5)), 5),
-        (((3, 7), (5, 3)), 0),
+        (((3, 2), (5, 4), (7, 4)), 1, 2),
+        (((3, 2), (5, 3), (7, 5)), 2, 5),
+        (((3, 2), (5, 3), (5, 5)), 2, 5),
+        (((3, 7), (5, 3)), 0, 0),
     ]
     for p in (3, 97, 998244353, 2**31 - 1):
         field = Modulus(p)
-        for blocks, start in cases:
+        for blocks, b, start in cases:
             jordan = JordanSpec(blocks)
             E = [[rng.randrange(p) for _ in range(10)] for _ in range(2)]
             inst = InterpInstance(field, E, jordan, (rng.randint(0, 5), rng.randint(0, 5)))
             residuals.clear()
-            p1, d1, inst2 = solve_left(inst)
+            mibs.clear()
+            MIB_ENGINE.minimal_interpolation_basis(inst)
             [((_, rows, _), _)] = residuals
             assert rows.shape == (2, 10 - start)
+            [((inst1,), (p1, d1)), ((inst2,), _), ((root,), _)] = mibs
+            assert root is inst and inst1.sigma == 5
             full = residual(p1, inst.E, jordan)
             assert not full[:, :5].any()
             assert np.array_equal(inst2.E, full[:, 5:])
-            assert inst2.jordan == split_leading(inst)[1]
+            assert split_leading(inst)[1] == b
+            assert inst2.jordan == split_leading(inst)[2]
             assert inst2.shift == tuple(s + d for s, d in zip(inst.shift, d1))
+
+
+def _split_by_walk(blocks):
+    """split_leading's reference: the cut ceil(sigma/2) found by a walk
+    over every block, b the last block starting at or before the cut."""
+    cut = -(-sum(n for _, n in blocks) // 2)
+    blocks1, blocks2 = [], []
+    pos = 0
+    for i, (x, n) in enumerate(blocks):
+        if pos <= cut:
+            b = i
+        if pos + n <= cut:
+            blocks1.append((x, n))
+        elif pos >= cut:
+            blocks2.append((x, n))
+        else:
+            blocks1.append((x, cut - pos))
+            blocks2.append((x, pos + n - cut))
+        pos += n
+    return cut, tuple(blocks1), b, tuple(blocks2)
+
+
+def test_split_leading_matches_a_walk_over_the_blocks(rng):
+    # 1-400 blocks of sizes 1-6 over a few eigenvalues, so eigenvalues
+    # repeat; short lists put the cut inside the first or the last block
+    seen = set()
+    for _ in range(300):
+        count = rng.choice((1, 2, 3, rng.randint(1, 400)))
+        blocks = tuple((rng.randrange(3), rng.randint(1, 6)) for _ in range(count))
+        jordan = JordanSpec(blocks)
+        m = rng.randint(1, 3)
+        E = np.array([[rng.randrange(97) for _ in range(jordan.total)] for _ in range(m)])
+        inst = InterpInstance(F, E, jordan, tuple(rng.randint(0, 9) for _ in range(m)))
+        cut, blocks1, b, blocks2 = _split_by_walk(blocks)
+        inst1, got_b, jordan2 = split_leading(inst)
+        assert inst1.jordan.blocks == blocks1
+        assert jordan2.blocks == blocks2
+        assert got_b == b
+        assert np.array_equal(inst1.E, inst.E[:, :cut])
+        assert inst1.shift == inst.shift
+        inside = jordan.offsets[b] < cut < jordan.offsets[b] + blocks[b][1]
+        if cut == jordan.offsets[b]:
+            seen.add("boundary")
+        if inside and b == 0:
+            seen.add("first")
+        if inside and b == count - 1:
+            seen.add("last")
+    assert seen == {"boundary", "first", "last"}

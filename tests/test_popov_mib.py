@@ -1,5 +1,6 @@
 """Partial linearization and the divide-and-conquer driver."""
 
+import time
 from itertools import accumulate
 
 import pytest
@@ -126,9 +127,9 @@ def test_known_mindeg_random_equality(rng, monkeypatch):
 
 def test_known_mindeg_rejects_wrong_degree():
     inst = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, 2),)), (0, 0))
-    # (1, 1) exceeds the expanded column degrees; (3, 0) leaves the
-    # leading matrix singular; (0, 2) rebuilds [[1, -1], [0, X**2]], whose
-    # row 0 has its pivot in column 1
+    # (1, 1) exceeds the expanded column degrees; (3, 0) sums past
+    # sigma = 2; (0, 2) rebuilds [[1, -1], [0, X**2]], whose row 0 has its
+    # pivot in column 1
     for wrong in ((1, 1), (3, 0), (0, 2)):
         with pytest.raises(ValueError, match="inconsistent minimal degree"):
             known_mindeg_mib(inst, wrong)
@@ -154,6 +155,29 @@ def test_known_mindeg_rejects_wrong_degree_with_true_sum(rng):
         with pytest.raises(ValueError, match="inconsistent minimal degree"):
             known_mindeg_mib(inst, tuple(wrong))
         tried += 1
+
+
+def test_known_mindeg_rejects_a_singular_leading_matrix():
+    # the true degree is (0, 1); (0, 2) sums to sigma, expands within its
+    # column degrees, and leaves the leading matrix singular
+    inst = InterpInstance(F, [[0, 0], [0, 1]], JordanSpec(((0, 2),)), (0, 0))
+    with pytest.raises(ValueError, match="inconsistent minimal degree"):
+        known_mindeg_mib(inst, (0, 2))
+
+
+def test_known_mindeg_rejects_a_degree_sum_past_sigma(monkeypatch):
+    # a minimal degree sums to at most sigma; a larger sum, however large,
+    # is refused by the plan before any module row is stepped
+    inst = InterpInstance(F, [list(range(1, 11)), [0] * 10], JordanSpec(((0, 10),)), (0, 0))
+    stepped = capture(monkeypatch, "strided_powers")
+    with pytest.raises(ValueError, match="inconsistent minimal degree"):
+        build_expansion((11, 0), 2, 10)
+    for wrong in ((5000, 0), (10**6, 0)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="inconsistent minimal degree"):
+            known_mindeg_mib(inst, wrong)
+        assert time.perf_counter() - start < 0.5
+    assert not stepped
 
 
 def _normalize_direct(linv, rbasis: PolyMat) -> PolyMat:

@@ -5,9 +5,10 @@ degree first, with no trailing zero; the zero polynomial is ``[]``.  The
 degree of the zero polynomial is ``NEG_INF`` so that degree comparisons
 (``deg + shift``) behave uniformly.
 
-Products dispatch on operand size: schoolbook below a threshold, a
-number-theoretic transform when the modulus has enough 2-adic roots of
-unity for the result length, and Karatsuba otherwise.  All paths return
+Products are schoolbook on short operands and otherwise the float64
+evaluation/interpolation product of ``polymat.matmul`` on 1 x 1
+matrices, which is exact for every prime below 2**31: one product for
+every prime, whatever its 2-adic roots of unity.  Both paths return
 bit-identical coefficient lists.
 
 The one Taylor shift is ``taylor_prefix``, ``a(X + x) mod X**n`` by n
@@ -20,13 +21,13 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 Poly = List[int]
 
 NEG_INF = float("-inf")
 
-_SCHOOLBOOK_MIN = 16  # below this (either operand) schoolbook wins
+# poly_mul is schoolbook up to this many coefficient products and the FFT
+# product past it: a tuned bound, near where the two measure level
+_SCHOOLBOOK_MAX_TERMS = 2048
 _KARATSUBA_BASE = 33  # recursion floor for the divide-and-conquer product
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -58,14 +59,14 @@ def _is_prime(n: int) -> bool:
 
 
 class Modulus:
-    """An odd prime modulus with cached NTT machinery.
+    """An odd prime modulus below 2**31.
 
     The prime must fit in 31 bits so that products of two residues stay
-    inside int64, which the vectorized transform and the exact linear
-    algebra backend rely on.
+    inside int64, which the exact linear algebra backend relies on, and
+    so that ``polymat.matmul`` evaluates products exactly in float64.
     """
 
-    __slots__ = ("p", "two_adicity", "_root2", "_ntt_cache")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int):
@@ -75,76 +76,12 @@ class Modulus:
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        v = 0
-        t = p - 1
-        while t % 2 == 0:
-            t //= 2
-            v += 1
-        self.two_adicity = v
-        self._root2 = None  # primitive 2**two_adicity-th root, computed lazily
-        self._ntt_cache = {}
 
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def max_ntt_len(self) -> int:
-        return 1 << self.two_adicity
-
-    def _primitive_2adic_root(self) -> int:
-        if self._root2 is None:
-            p = self.p
-            # factor p-1 by trial division (p is small)
-            n = p - 1
-            factors = []
-            f = 2
-            while f * f <= n:
-                if n % f == 0:
-                    factors.append(f)
-                    while n % f == 0:
-                        n //= f
-                f += 1
-            if n > 1:
-                factors.append(n)
-            g = 2
-            while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
-                g += 1
-            self._root2 = pow(g, (p - 1) >> self.two_adicity, p)
-        return self._root2
-
-    def _ntt_tables(self, n: int):
-        """Bit-reversal permutation and per-stage twiddles for length n."""
-        tables = self._ntt_cache.get(n)
-        if tables is not None:
-            return tables
-        p = self.p
-        k = n.bit_length() - 1
-        if n != 1 << k or n > self.max_ntt_len():
-            raise ValueError(f"no order-{n} root of unity modulo {self.p}")
-        idx = np.arange(n, dtype=np.int64)
-        rev = np.zeros(n, dtype=np.int64)
-        for bit in range(k):
-            rev |= ((idx >> bit) & 1) << (k - 1 - bit)
-        root = pow(self._primitive_2adic_root(), 1 << (self.two_adicity - k), p)
-        iroot = pow(root, p - 2, p)
-        fwd, inv = [], []
-        for stage in range(1, k + 1):
-            length = 1 << stage
-            half = length >> 1
-            w = pow(root, n // length, p)
-            wi = pow(iroot, n // length, p)
-            pw = np.ones(half, dtype=np.int64)
-            pwi = np.ones(half, dtype=np.int64)
-            for t in range(1, half):
-                pw[t] = pw[t - 1] * w % p
-                pwi[t] = pwi[t - 1] * wi % p
-            fwd.append(pw)
-            inv.append(pwi)
-        tables = (rev, fwd, inv, pow(n, p - 2, p))
-        self._ntt_cache[n] = tables
-        return tables
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and other.p == self.p
@@ -199,6 +136,7 @@ def poly_mul_schoolbook(a: Poly, b: Poly, p: int) -> Poly:
     return poly_trim([v % p for v in out])
 
 
+# unreachable: kept only because perfbench/spans.py traces it by name
 def _karatsuba(a: Poly, b: Poly, p: int) -> Poly:
     if min(len(a), len(b)) < _KARATSUBA_BASE:
         return poly_mul_schoolbook(a, b, p)
@@ -222,52 +160,25 @@ def _karatsuba(a: Poly, b: Poly, p: int) -> Poly:
     return poly_trim(out)
 
 
-def _ntt_inplace(arr: np.ndarray, stages, rev: np.ndarray, p: int) -> np.ndarray:
-    arr = arr[rev]
-    for pw in stages:
-        half = pw.shape[0]
-        m2 = arr.reshape(-1, 2 * half)
-        u = m2[:, :half]
-        v = m2[:, half:] * pw % p
-        s = (u + v) % p
-        d = (u - v) % p
-        m2[:, :half] = s
-        m2[:, half:] = d
-    return arr
-
-
 def _ntt_mul(a: Poly, b: Poly, field: Modulus) -> Poly:
-    p = field.p
-    need = len(a) + len(b) - 1
-    n = 1
-    while n < need:
-        n <<= 1
-    rev, fwd, inv, n_inv = field._ntt_tables(n)
-    fa = np.zeros(n, dtype=np.int64)
-    fb = np.zeros(n, dtype=np.int64)
-    fa[: len(a)] = a
-    fb[: len(b)] = b
-    fa = _ntt_inplace(fa, fwd, rev, p)
-    fb = _ntt_inplace(fb, fwd, rev, p)
-    fc = fa * fb % p
-    fc = _ntt_inplace(fc, inv, rev, p)
-    fc = fc * n_inv % p
-    return poly_trim([int(v) for v in fc[:need]])
+    """The long product: ``polymat.matmul`` on 1 x 1 matrices.
+
+    The name predates the float64 product; it stays because
+    perfbench/spans.py traces it by name and counts it as the ``ntt`` path.
+    """
+    from .polymat import PolyMat, matmul  # polymat imports this module
+
+    x, y = (PolyMat.from_coeffs(field, [[c]]) for c in (a, b))
+    return matmul(x, y).coeffs[0, 0].tolist()
 
 
 def poly_mul(a: Poly, b: Poly, field: Modulus) -> Poly:
-    """Exact product; result independent of the dispatched algorithm."""
+    """Exact product: schoolbook on short operands, else the FFT product."""
     if not a or not b:
         return []
-    if min(len(a), len(b)) <= _SCHOOLBOOK_MIN or len(a) + len(b) <= 64:
+    if len(a) * len(b) <= _SCHOOLBOOK_MAX_TERMS:
         return poly_mul_schoolbook(a, b, field.p)
-    need = len(a) + len(b) - 1
-    n = 1
-    while n < need:
-        n <<= 1
-    if n <= field.max_ntt_len():
-        return _ntt_mul(a, b, field)
-    return _karatsuba(a, b, field.p)
+    return _ntt_mul(a, b, field)
 
 
 def poly_mul_trunc(a: Poly, b: Poly, k: int, field: Modulus) -> Poly:

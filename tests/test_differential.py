@@ -29,7 +29,7 @@ from popov_interp.mib_engine import LEAF
 
 from conftest import dense_krylov_rank
 
-# small, middle, NTT-friendly, and the largest prime below 2**31 (int64 edge)
+# small, middle, 30-bit, and the largest prime below 2**31 (int64 edge)
 FIELDS = {p: Modulus(p) for p in (3, 97, 998244353, 2**31 - 1)}
 BIG = 2**70
 

@@ -33,7 +33,6 @@ def test_modulus_rejects_non_primes():
         with pytest.raises(ValueError):
             Modulus(bad)
     assert Modulus(3).p == 3
-    assert Modulus(998244353).two_adicity == 23
 
 
 def test_mul_basics():
@@ -62,15 +61,31 @@ def test_large_mul_paths(field):
         assert poly_mul(a, b, field) == poly_mul_schoolbook(a, b, field.p)
 
 
-@pytest.mark.parametrize("p", [97, 998244353, 65537, 2147483647])
+@pytest.mark.parametrize("p", [3, 97, 65537, 998244353, 2147483647])
 def test_unbalanced_and_boundary_sizes(p):
-    # splitting thresholds and power-of-two transform lengths
+    # both sides of the schoolbook bound len(a) * len(b) <= 2048, power-of-two
+    # transform lengths, and long unbalanced pairs
     rng = random.Random(19)
     field = Modulus(p)
-    for la, lb in ((40, 400), (33, 33), (64, 65), (127, 129), (17, 1000)):
+    sizes = (
+        (40, 400), (33, 33), (32, 64), (32, 65), (1, 2048), (1, 2049),
+        (64, 65), (127, 129), (17, 1000), (17, 4000),
+    )
+    for la, lb in sizes:
         a = [rng.randrange(p) for _ in range(la - 1)] + [rng.randrange(1, p)]
         b = [rng.randrange(p) for _ in range(lb - 1)] + [rng.randrange(1, p)]
         assert poly_mul(a, b, field) == poly_mul_schoolbook(a, b, p)
+
+
+@pytest.mark.parametrize("p", [3, 2147483647])
+def test_long_product_is_exact_at_its_worst_case(p):
+    # all coefficients p - 1 at length 2**14: the largest limbs and sums the
+    # float64 product takes through poly_mul; since (p - 1)**2 = 1 mod p,
+    # coefficient k counts its min(k, 2n - 2 - k) + 1 terms
+    n = 2**14
+    a = [p - 1] * n
+    expect = poly_trim([(min(k, 2 * n - 2 - k) + 1) % p for k in range(2 * n - 1)])
+    assert poly_mul(a, a, Modulus(p)) == expect
 
 
 def test_ring_axioms_randomized():

@@ -14,7 +14,7 @@ from popov_interp.jordan_module import (
 )
 
 F = Modulus(97)
-# small, middle, NTT-friendly, and the largest prime below 2**31 (int64 edge)
+# small, middle, 30-bit, and the largest prime below 2**31 (int64 edge)
 PRIMES = (3, 97, 998244353, 2147483647)
 
 

@@ -5,20 +5,26 @@ degree first, with no trailing zero; the zero polynomial is ``[]``.  The
 degree of the zero polynomial is ``NEG_INF`` so that degree comparisons
 (``deg + shift``) behave uniformly.
 
-Products are schoolbook on short operands and otherwise the float64
-evaluation/interpolation product of ``polymat.matmul`` on 1 x 1
-matrices, which is exact for every prime below 2**31: one product for
-every prime, whatever its 2-adic roots of unity.  Both paths return
-bit-identical coefficient lists.
+The module keeps only what the library runs and the tests' list
+references read.  Products are schoolbook on short operands and
+otherwise the float64 evaluation/interpolation product of
+``polymat.matmul`` on 1 x 1 matrices, exact for every prime below 2**31;
+both paths return bit-identical coefficient lists.  Inverses are the
+built-in ``pow(v, -1, p)``.
 
 The one Taylor shift is ``taylor_prefix``, ``a(X + x) mod X**n`` by n
 synthetic divisions by X - x: the list reference of the module action
 and the multivariate vanishing check read only such prefixes, and
 ``taylor_shift`` is the same routine at full length.
+
+``_karatsuba`` and ``binom_mod`` are one-statement stand-ins that nothing
+calls: ``perfbench/spans.py`` looks every traced function up by name and
+wraps it by object identity, so each is its own ``def``, not an alias.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import List
 
 Poly = List[int]
@@ -28,7 +34,6 @@ NEG_INF = float("-inf")
 # poly_mul is schoolbook up to this many coefficient products and the FFT
 # product past it: a tuned bound, near where the two measure level
 _SCHOOLBOOK_MAX_TERMS = 2048
-_KARATSUBA_BASE = 33  # recursion floor for the divide-and-conquer product
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -77,12 +82,6 @@ class Modulus:
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
     def __eq__(self, other):
         return isinstance(other, Modulus) and other.p == self.p
 
@@ -98,15 +97,6 @@ def poly_trim(c: Poly) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def poly_add(a: Poly, b: Poly, p: int) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for t, c in enumerate(b):
-        out[t] = (out[t] + c) % p
-    return poly_trim(out)
 
 
 def poly_sub(a: Poly, b: Poly, p: int) -> Poly:
@@ -136,28 +126,9 @@ def poly_mul_schoolbook(a: Poly, b: Poly, p: int) -> Poly:
     return poly_trim([v % p for v in out])
 
 
-# unreachable: kept only because perfbench/spans.py traces it by name
 def _karatsuba(a: Poly, b: Poly, p: int) -> Poly:
-    if min(len(a), len(b)) < _KARATSUBA_BASE:
-        return poly_mul_schoolbook(a, b, p)
-    h = max(len(a), len(b)) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _karatsuba(poly_trim(a0), poly_trim(b0), p)
-    z2 = _karatsuba(a1, b1, p)
-    z1 = poly_sub(
-        poly_sub(_karatsuba(poly_add(a0, a1, p), poly_add(b0, b1, p), p), z0, p),
-        z2,
-        p,
-    )
-    out = [0] * (len(a) + len(b) - 1)
-    for t, c in enumerate(z0):
-        out[t] = c
-    for t, c in enumerate(z1):
-        out[h + t] = (out[h + t] + c) % p
-    for t, c in enumerate(z2):
-        out[2 * h + t] = (out[2 * h + t] + c) % p
-    return poly_trim(out)
+    """The schoolbook product; a stand-in kept only for perfbench's ``TRACED``."""
+    return poly_mul_schoolbook(a, b, p)
 
 
 def _ntt_mul(a: Poly, b: Poly, field: Modulus) -> Poly:
@@ -198,7 +169,7 @@ def poly_divrem(a: Poly, b: Poly, field: Modulus):
     r = list(a)
     lb = len(b)
     q = [0] * (len(a) - lb + 1)
-    inv_lead = field.inv(b[-1])
+    inv_lead = pow(b[-1], -1, p)
     for k in range(len(a) - lb, -1, -1):
         c = r[k + lb - 1] * inv_lead % p
         if c:
@@ -208,30 +179,9 @@ def poly_divrem(a: Poly, b: Poly, field: Modulus):
     return poly_trim(q), poly_trim(r[: lb - 1])
 
 
-def _binom_digit(n: int, k: int, p: int) -> int:
-    if k > n:
-        return 0
-    k = min(k, n - k)
-    num = 1
-    den = 1
-    for j in range(1, k + 1):
-        num = num * ((n - k + j) % p) % p
-        den = den * j % p
-    return num * pow(den, p - 2, p) % p
-
-
 def binom_mod(n: int, k: int, p: int) -> int:
-    """Binomial coefficient modulo p via Lucas' theorem."""
-    if k < 0 or k > n:
-        return 0
-    res = 1
-    while n or k:
-        res = res * _binom_digit(n % p, k % p, p) % p
-        if res == 0:
-            return 0
-        n //= p
-        k //= p
-    return res
+    """C(n, k) mod p; a stand-in kept only for perfbench's ``TRACED``."""
+    return comb(n, k) % p if 0 <= k <= n else 0
 
 
 def taylor_prefix(a: Poly, x: int, n: int, p: int) -> Poly:

@@ -57,7 +57,7 @@ class JordanSpec:
     blocks: Tuple[Block, ...]
 
     def __post_init__(self):
-        if any(not isinstance(n, int) or n <= 0 for _, n in self.blocks):
+        if any(type(n) is not int or n <= 0 for _, n in self.blocks):
             raise ValueError("block sizes must be positive integers")
 
     @cached_property
@@ -89,7 +89,7 @@ class JordanSpec:
             runs = runs["groups"]
         blocks = []
         for x, sizes in runs:
-            if not isinstance(x, int) or any(not isinstance(n, int) for n in sizes):
+            if type(x) is not int or any(type(n) is not int for n in sizes):
                 raise ValueError("eigenvalues and block sizes must be integers")
             if not sizes:
                 raise ValueError("empty block run")

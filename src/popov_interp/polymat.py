@@ -305,7 +305,7 @@ def weak_popov_to_popov(w: PolyMat, s: Sequence[int]) -> PolyMat:
     for j, row in zip(pivots, w.rows):
         lead = row[j][-1]
         # entries are replaced, never mutated, so w's rows are not touched
-        rows[j] = list(row) if lead == 1 else [poly_scale(e, field.inv(lead), p) for e in row]
+        rows[j] = list(row) if lead == 1 else [poly_scale(e, pow(lead, -1, p), p) for e in row]
 
     deg_piv = [len(rows[i][i]) - 1 for i in range(n)]
     order = sorted(range(n), key=lambda i: (deg_piv[i] + s[i], i))

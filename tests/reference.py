@@ -4,12 +4,22 @@ They share no code path with the engines: each works on ``PolyMat.rows``
 with the ``ff_poly`` list helpers.
 """
 
-from popov_interp.ff_poly import NEG_INF, Poly, poly_divrem, poly_mul, poly_sub
+from popov_interp.ff_poly import NEG_INF, Poly, poly_divrem, poly_mul, poly_sub, poly_trim
 
 
 def poly_deg(a: Poly):
     """The degree of a list polynomial, ``NEG_INF`` for zero."""
     return len(a) - 1 if a else NEG_INF
+
+
+def poly_add(a: Poly, b: Poly, p: int) -> Poly:
+    """The sum of two list polynomials, trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for t, c in enumerate(b):
+        out[t] = (out[t] + c) % p
+    return poly_trim(out)
 
 
 def determinant(m) -> Poly:

@@ -24,7 +24,8 @@ from popov_interp.apps import (
     q_vanishes_at,
     reduce_shift,
 )
-from popov_interp.ff_poly import poly_add, poly_mul, poly_mul_trunc, poly_trim, taylor_shift
+from popov_interp.ff_poly import poly_mul, poly_mul_trunc, poly_trim, taylor_shift
+from reference import poly_add
 
 F = Modulus(97)
 

@@ -7,7 +7,6 @@ import pytest
 from popov_interp.ff_poly import (
     Modulus,
     binom_mod,
-    poly_add,
     poly_divrem,
     poly_mul,
     poly_mul_schoolbook,
@@ -17,7 +16,7 @@ from popov_interp.ff_poly import (
     taylor_prefix,
     taylor_shift,
 )
-from reference import poly_deg
+from reference import poly_add, poly_deg
 
 F97 = Modulus(97)
 FNTT = Modulus(998244353)
@@ -111,6 +110,9 @@ def test_divrem():
         q, r = poly_divrem(a, b, F97)
         assert poly_add(poly_mul(q, b, F97), r, 97) == a
         assert poly_deg(r) < poly_deg(b)
+    # an untrimmed divisor has a zero leading coefficient, which has no inverse
+    with pytest.raises(ValueError):
+        poly_divrem([1, 2], [0], F97)
 
 
 def test_truncated_product():

@@ -5,13 +5,14 @@ import pytest
 
 from popov_interp import JordanSpec, Modulus, PolyMat, standardize
 from popov_interp import jordan_module
-from popov_interp.ff_poly import poly_add, poly_mul, poly_scale, poly_trim
+from popov_interp.ff_poly import poly_mul, poly_scale, poly_trim
 from popov_interp.jordan_module import (
     apply_poly_row,
     residual,
     residual_direct,
     strided_powers,
 )
+from reference import poly_add
 
 F = Modulus(97)
 # small, middle, 30-bit, and the largest prime below 2**31 (int64 edge)
@@ -19,7 +20,8 @@ PRIMES = (3, 97, 998244353, 2147483647)
 
 
 def test_jordan_spec_validation():
-    for bad in (((0, 0),), ((0, 1), (2, -1)), ((0, 1.0),)):
+    # a bool is an int to isinstance, but True is no block size
+    for bad in (((0, 0),), ((0, 1), (2, -1)), ((0, 1.0),), ((0, True),)):
         with pytest.raises(ValueError, match="positive integers"):
             JordanSpec(bad)
     # any block order, eigenvalues repeating anywhere, sizes in any order
@@ -37,6 +39,13 @@ def test_jordan_spec_json_runs():
     assert spec.to_json() == [[0, [1, 2]], [5, [1]], [0, [1, 3]]]
     assert JordanSpec.from_json(spec.to_json(), 97) == spec
     assert JordanSpec.from_json({"groups": spec.to_json()}, 97).blocks == spec.blocks
+
+
+def test_jordan_spec_json_rejects_booleans():
+    # JSON true is no eigenvalue or size, though isinstance(True, int) holds
+    for runs in ([[True, [2]]], [[0, [True]]], [[0, [1, False]]]):
+        with pytest.raises(ValueError, match="must be integers"):
+            JordanSpec.from_json(runs, 97)
 
 
 def test_standardize_examples():

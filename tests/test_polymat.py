@@ -12,8 +12,8 @@ from popov_interp import (
     shifted_row_degree,
     weak_popov_to_popov,
 )
-from popov_interp.ff_poly import poly_add, poly_mul_schoolbook
-from reference import determinant, poly_deg
+from popov_interp.ff_poly import poly_mul_schoolbook
+from reference import determinant, poly_add, poly_deg
 
 F = Modulus(97)
 
@@ -438,7 +438,7 @@ def _det_by_evaluation(mat, points):
     # independent oracle: scalar determinants at sample points, then
     # Lagrange interpolation
     p = mat.field.p
-    from popov_interp.ff_poly import poly_add, poly_mul, poly_scale
+    from popov_interp.ff_poly import poly_mul, poly_scale
 
     def scalar_det(a):
         a = [row[:] for row in a]

@@ -3,6 +3,7 @@
 import time
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -32,8 +33,8 @@ from popov_interp import (
     weak_popov_to_popov,
 )
 from popov_interp.apps import adversarial_instance, approximant_instance
-from popov_interp.ff_poly import poly_add
 from popov_interp.linalg import inv_mod
+from reference import poly_add
 
 F = Modulus(97)
 
@@ -155,6 +156,18 @@ def test_known_mindeg_rejects_wrong_degree_with_true_sum(rng):
         with pytest.raises(ValueError, match="inconsistent minimal degree"):
             known_mindeg_mib(inst, tuple(wrong))
         tried += 1
+
+
+def test_known_mindeg_takes_only_integer_degrees():
+    # int() would read (3.9, 0.2) as (3, 0) and True as 1; the plan refuses
+    # them before anything is converted, and numpy integers are integers
+    inst = InterpInstance(F, [[1, 0], [1, 0]], JordanSpec(((0, 2),)), (0, 0))
+    for bad in ((3.9, 0.2), (True, 0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            known_mindeg_mib(inst, bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        build_expansion((3.5, 0), 2, 4)
+    assert known_mindeg_mib(inst, (np.int64(2), np.int32(0))) == known_mindeg_mib(inst, (2, 0))
 
 
 def test_known_mindeg_rejects_a_singular_leading_matrix():

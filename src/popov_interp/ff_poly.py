@@ -12,6 +12,13 @@ otherwise the float64 evaluation/interpolation product of
 both paths return bit-identical coefficient lists.  Inverses are the
 built-in ``pow(v, -1, p)``.
 
+Division, which the list normalization runs, takes a linear divisor by
+one synthetic division (Horner), one remainder per step.  Any other
+divisor takes the schoolbook loop, which reduces each coefficient once,
+when it leads and its quotient coefficient is read, or at the end if it
+is left in the remainder: Python integers do not overflow, so the
+subtractions in between need no remainder.
+
 The one Taylor shift is ``taylor_prefix``, ``a(X + x) mod X**n`` by n
 synthetic divisions by X - x: the list reference of the module action
 and the multivariate vanishing check read only such prefixes, and
@@ -159,24 +166,47 @@ def poly_mul_trunc(a: Poly, b: Poly, k: int, field: Modulus) -> Poly:
     return poly_trim(poly_mul(a[:k], b[:k], field)[:k])
 
 
+def _synthetic_division(q: Poly, x: int, p: int) -> None:
+    """Divide q by X - x in place, by Horner's rule: q[0] becomes the
+    remainder q(x) and q[t] the quotient's coefficient of X**(t-1)."""
+    acc = 0
+    for t in range(len(q) - 1, -1, -1):
+        acc = (acc * x + q[t]) % p
+        q[t] = acc
+
+
 def poly_divrem(a: Poly, b: Poly, field: Modulus):
-    """Quotient and remainder of a by b; deg(rem) < deg(b)."""
+    """Quotient and remainder of a by b; deg(rem) < deg(b).
+
+    A linear divisor takes one synthetic division; any other takes the
+    schoolbook loop with one remainder per coefficient, when it is read.
+    """
     if not b:
         raise ValueError("zero divisor")
     p = field.p
     if len(a) < len(b):
         return [], list(a)
-    r = list(a)
-    lb = len(b)
-    q = [0] * (len(a) - lb + 1)
     inv_lead = pow(b[-1], -1, p)
+    lb = len(b)
+    if lb == 2:
+        # by X - x, x the root of b, then the quotient divided by b's lead
+        q = list(a)
+        _synthetic_division(q, -b[0] * inv_lead % p, p)
+        rem = q.pop(0)
+        if inv_lead != 1:
+            q = [v * inv_lead % p for v in q]
+        return poly_trim(q), [rem] if rem else []
+    # Python integers do not overflow: each coefficient is reduced once,
+    # when it leads (to read the quotient) or ends in the remainder
+    r = list(a)
+    q = [0] * (len(a) - lb + 1)
     for k in range(len(a) - lb, -1, -1):
         c = r[k + lb - 1] * inv_lead % p
         if c:
             q[k] = c
-            for j in range(lb):
-                r[k + j] = (r[k + j] - c * b[j]) % p
-    return poly_trim(q), poly_trim(r[: lb - 1])
+            for j in range(lb - 1):
+                r[k + j] -= c * b[j]
+    return poly_trim(q), poly_trim([v % p for v in r[: lb - 1]])
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
@@ -196,12 +226,7 @@ def taylor_prefix(a: Poly, x: int, n: int, p: int) -> Poly:
     q = list(a)
     out = []
     for _ in range(min(n, len(q))):
-        # Horner in place: q[t] becomes the quotient's coefficient of
-        # X**(t-1), and q[0] the remainder q(x)
-        acc = 0
-        for t in range(len(q) - 1, -1, -1):
-            acc = (acc * x + q[t]) % p
-            q[t] = acc
+        _synthetic_division(q, x, p)
         out.append(q.pop(0))
     return poly_trim(out)
 

@@ -113,6 +113,23 @@ def test_divrem():
     # an untrimmed divisor has a zero leading coefficient, which has no inverse
     with pytest.raises(ValueError):
         poly_divrem([1, 2], [0], F97)
+    # linear divisors take the synthetic division, longer ones the loop
+    # that reduces each coefficient once; both are held to q*b + r == a
+    for p in PRIMES:
+        field = Modulus(p)
+        top = [1, p - 1, rng.randrange(1, p)]  # monic, non-monic
+        divisors = [[0, 1], [0, p - 1]]  # X and -X: zero constant term
+        divisors += [[rng.randrange(p), c] for c in top]
+        divisors += [[rng.randrange(p) for _ in range(n)] + [c] for n in (2, 3, 9) for c in top]
+        for b in divisors:
+            for la in (0, 1, 2, 3, 12, 40):
+                for a in ([p - 1] * la, [rng.randrange(p) for _ in range(la)]):
+                    a = poly_trim(a)
+                    q, r = poly_divrem(a, b, field)
+                    assert poly_add(poly_mul_schoolbook(q, b, p), r, p) == a, (p, a, b)
+                    assert poly_deg(r) < poly_deg(b)
+                    assert all(0 <= v < p for v in q + r)
+                    assert (not q or q[-1]) and (not r or r[-1])
 
 
 def test_truncated_product():

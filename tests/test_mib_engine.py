@@ -1,5 +1,8 @@
 """The iterative engine, the divide-and-conquer engine, and the oracle."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from popov_interp import (
     InterpInstance,
     JordanSpec,
     Modulus,
+    PolyMat,
     interpolant_check,
     is_popov,
     is_weak_popov,
@@ -18,7 +22,8 @@ from popov_interp import (
     weak_popov_to_popov,
 )
 from popov_interp.jordan_module import residual
-from popov_interp.mib_engine import split_leading
+from popov_interp.linalg import rank_mod
+from popov_interp.mib_engine import LEAF, iterative_weak_popov, split_leading
 from reference import determinant, poly_deg
 
 F = Modulus(97)
@@ -100,6 +105,63 @@ def test_kernel_oracle_examples(rng):
         for row in kernel_oracle(inst, bound):
             assert interpolant_check(row, inst)
             assert all(len(e) - 1 + si <= bound for e, si in zip(row, inst.shift))
+
+
+@pytest.mark.parametrize("blocks", ["nilpotent", "two_eigenvalues"])
+@pytest.mark.parametrize("p, dtype", [(3, np.int32), (97, np.int32), (4057, np.int32), (4073, np.int64)])
+def test_elimination_state_at_the_int32_edge(p, dtype, blocks, monkeypatch):
+    # at m = 4 and sigma = LEAF * m = 128, int32's budget of steps is
+    # exactly sigma at p = 4057, so the state is int32 and no remainder is
+    # taken before the end, and one short at p = 4073, which runs in int64
+    m = 4
+    sigma = LEAF * m
+    budget = (2**31 - 1) // ((p - 1) ** 2 + p) - 2
+    assert {4057: budget == sigma, 4073: budget == sigma - 1}.get(p, True)
+    rng = random.Random(p)
+    # E_0 has residues near p - 1, none zero, so it generates the module
+    # (its block tops are nonzero, one block per eigenvalue); rows 1-3 are
+    # shifted past sigma, so row 0 pivots at every step and the others
+    # are eliminated with it, unreduced until the end
+    e0 = [p - 1 - rng.randrange(min(p - 1, 3)) for _ in range(sigma)]
+    shift = (0,) + (sigma + 1,) * (m - 1)
+    if blocks == "nilpotent":
+        # one nilpotent block: X shifts row 0, whose discrepancy is always
+        # e0[0]; rows 1-3 are -(e0[0] + ... + e0[j]), so every multiplier
+        # is p - 1, every pivot residue is an entry of e0, and the last
+        # columns of rows 1-3 reach about sigma*(p-1)**2 below zero
+        sums = list(itertools.accumulate(e0))
+        E = [e0] + [[-v % p for v in sums]] * (m - 1)
+        jordan = JordanSpec(((0, sigma),))
+    else:
+        # eigenvalues 0 and p - 1: the factor base - x of X - x reaches
+        # p - 1 on the block the step is not in
+        E = [e0] + [[p - 1 - rng.randrange(min(p, 3)) for _ in range(sigma)] for _ in range(m - 1)]
+        jordan = JordanSpec(((0, sigma // 2), (p - 1, sigma // 2)))
+    inst = InterpInstance(Modulus(p), E, jordan, shift)
+    states = []
+    from_coeffs = PolyMat.from_coeffs.__func__
+
+    def recorded(cls, field, coeffs):
+        states.append(np.asarray(coeffs).dtype)
+        return from_coeffs(cls, field, coeffs)
+
+    monkeypatch.setattr(PolyMat, "from_coeffs", classmethod(recorded))
+    iterative_weak_popov(inst)
+    assert states == [dtype]
+    monkeypatch.undo()
+
+    basis, delta = iterative_mib(inst)
+    assert delta == (sigma,) + (0,) * (m - 1)
+    # the generation certificate: Popov, interpolants, and the staircase
+    # rows X**k . E_j, k < delta_j, independent
+    assert is_popov(basis, shift)
+    assert all(interpolant_check(row, inst) for row in basis.rows)
+    assert delta == tuple(len(basis.rows[i][i]) - 1 for i in range(m))
+    assert rank_mod(inst.powers.gather(delta), p) == sum(delta) <= sigma
+    # the kernel dimensions of the oracle at each s-degree bound
+    for bound in (0, sigma - 1, sigma, sigma + 1, sigma + 2, 2 * sigma + 1):
+        want = sum(max(0, bound - s - d + 1) for s, d in zip(shift, delta))
+        assert len(kernel_oracle(inst, bound)) == want
 
 
 def test_minimal_interpolation_basis(rng):

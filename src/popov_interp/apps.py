@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ff_poly import Modulus, Poly, poly_trim, taylor_prefix
+from .ff_poly import Modulus, Poly, int_tuple, poly_trim
 from .jordan_module import JordanSpec
 from .mib_engine import InterpInstance, MinimalDegree
 from .polymat import PolyMat
@@ -43,8 +43,8 @@ class ApproximantProblem:
     shift: Tuple[int, ...]
 
     def __post_init__(self):
-        self.orders = tuple(int(v) for v in self.orders)
-        self.shift = tuple(int(v) for v in self.shift)
+        self.orders = int_tuple(self.orders, "orders must be integers")
+        self.shift = int_tuple(self.shift, "shift entries must be integers")
         if any(o <= 0 for o in self.orders):
             raise ValueError("order <= 0")
         if len(self.orders) != self.F.ncols:
@@ -65,8 +65,9 @@ class GSProblem:
     (lowering any entry of a tuple by one gives another tuple of the
     set).  ``multiplicities`` holds one positive integer mu per point,
     whose support is the triangular {(a, b) : a + |b| < mu}.  Points are
-    distinct, each with num_y Y-coordinates.  Every check is made here,
-    so the encoders below read a valid problem.
+    distinct, each with num_y Y-coordinates, which are stored reduced mod
+    p.  Every integer is read by ``ff_poly.int_tuple``, and every check is
+    made here, so the encoders below read a valid problem.
     """
 
     field: Modulus
@@ -77,13 +78,14 @@ class GSProblem:
     weights: Tuple[int, ...]
 
     def __post_init__(self):
-        self.exponents = tuple(tuple(int(g) for g in ex) for ex in self.exponents)
-        self.weights = tuple(int(w) for w in self.weights)
-        self.multiplicities = tuple(self.multiplicities)
-        self.points = tuple(
-            (int(x) % self.field.p, tuple(int(y) % self.field.p for y in ys))
-            for x, ys in self.points
-        )
+        p = self.field.p
+        (self.num_y,) = int_tuple((self.num_y,), "num_y must be an integer")
+        self.exponents = tuple(int_tuple(ex, "exponents must be integers") for ex in self.exponents)
+        self.weights = int_tuple(self.weights, "weights must be integers")
+        positive = "multiplicities must be positive integers"
+        self.multiplicities = int_tuple(self.multiplicities, positive)
+        points = (int_tuple((x, *ys), "coordinates must be integers") for x, ys in self.points)
+        self.points = tuple((x % p, tuple(y % p for y in ys)) for x, *ys in points)
         r = self.num_y
         if r < 1:
             raise ValueError("at least one Y variable is required")
@@ -91,8 +93,8 @@ class GSProblem:
             raise ValueError("one weight per Y variable is required")
         if len(self.multiplicities) != len(self.points):
             raise ValueError("one multiplicity per point is required")
-        if any(type(mu) is not int or mu < 1 for mu in self.multiplicities):
-            raise ValueError("multiplicities must be positive integers")
+        if any(mu < 1 for mu in self.multiplicities):
+            raise ValueError(positive)
         if any(len(ys) != r for _, ys in self.points):
             raise ValueError("points must have num_y Y-coordinates")
         if len(set(self.points)) != len(self.points):
@@ -196,7 +198,7 @@ def reduce_shift(shift: Sequence[int], sigma: int) -> Tuple[int, ...]:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    s = [int(v) for v in shift]
+    s = int_tuple(shift, "shift entries must be integers")
     order = sorted(range(len(s)), key=lambda i: (s[i], i))
     out = [0] * len(s)
     prev_s = None
@@ -234,46 +236,3 @@ def adversarial_instance(
         rows.append([poly_trim([rng.randrange(p) for _ in range(sigma)])])
     shift = (0,) * m + (sigma,) * m
     return ApproximantProblem(field, PolyMat(field, rows), (sigma,), shift)
-
-
-def q_vanishes_at(prob: GSProblem, row: Sequence[Poly], k: int) -> bool:
-    """Explicit multivariate check of one interpolation condition.
-
-    Reassembles Q = sum_gamma row[gamma] * Y**gamma, expands
-    Q(X + x_k, Y + y_k) below X-degree mu by brute force (products of the
-    shifted factors, no derivative shortcuts), and inspects every
-    coefficient whose exponent lies in the multiplicity support.
-    """
-    p = prob.field.p
-    r = prob.num_y
-    x, ys = prob.points[k]
-    mu = prob.multiplicities[k]
-
-    # coefficients of Q(X+x, Y+y): Y-exponent tuple -> X-polynomial
-    expanded: dict = {}
-    for ex, e in zip(prob.exponents, row):
-        if not e:
-            continue
-        px = taylor_prefix(e, x, mu, p)  # only X-degrees below mu are read
-        ypart = {(0,) * r: 1}  # running expansion of prod_i (Y_i + y_i)**g_i
-        for i, gi in enumerate(ex):
-            for _ in range(gi):
-                nxt: dict = {}
-                for b, c in ypart.items():
-                    up = b[:i] + (b[i] + 1,) + b[i + 1 :]
-                    nxt[up] = (nxt.get(up, 0) + c) % p
-                    nxt[b] = (nxt.get(b, 0) + c * ys[i]) % p
-                ypart = nxt
-        for b, c in ypart.items():
-            if c == 0:
-                continue
-            acc = expanded.setdefault(b, [])
-            acc.extend([0] * (len(px) - len(acc)))
-            for t, v in enumerate(px):
-                acc[t] = (acc[t] + c * v) % p
-
-    for b in _derivative_indices(mu, r):
-        acc = expanded.get(b, [])
-        if any(acc[: mu - sum(b)]):
-            return False
-    return True

@@ -53,7 +53,7 @@ from .apps import (
     gs_instance,
     order_basis,
 )
-from .ff_poly import Modulus
+from .ff_poly import Modulus, int_tuple
 from .jordan_module import JordanSpec, standardize
 from .mib_engine import InterpInstance, interpolant_check, iterative_mib, minimal_interpolation_basis
 from .polymat import PolyMat, is_popov
@@ -125,11 +125,12 @@ def _check_residues(value, p: int, what: str) -> None:
 
     E, basis and F coefficients are residues; the library would reduce
     any other integer silently, so a 98 at p = 97 would be read as 1.
+    It runs after ``_check_integers``, which leaves integers and null.
     """
     if isinstance(value, list):
         for v in value:
             _check_residues(v, p, what)
-    elif not isinstance(value, int) or not 0 <= value < p:
+    elif value is None or not 0 <= value < p:
         raise ValueError(f"{what} entries must be residues in [0, p)")
 
 
@@ -146,8 +147,6 @@ def load_instance(path: str) -> InterpInstance:
     field = _field_of(data)
     try:
         _check_residues(data["E"], field.p, "E")
-        if any(not isinstance(v, int) for v in data["shift"]):
-            raise ValueError("shift entries must be integers")
         jordan = JordanSpec.from_json(data["jordan"], field.p)
         inst = InterpInstance(field, data["E"], jordan, tuple(data["shift"]))
         if inst.m != data.get("m", inst.m):
@@ -210,7 +209,7 @@ def cmd_check(args) -> int:
         if any(len(e) > longest for row in data["basis"] for e in row):
             raise ValueError(f"basis entries must have at most sigma + 1 = {longest} coefficients")
         basis = PolyMat.from_rows(inst.field, data["basis"])
-        delta = [int(v) for v in data["delta"]]
+        delta = int_tuple(data["delta"], "delta entries must be integers")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad basis file {args.basis}: {exc}") from exc
 
@@ -228,7 +227,7 @@ def cmd_check(args) -> int:
 
     # a Popov basis of interpolants generates the module iff its
     # staircase rows X**k . E_j, k < delta_j, are independent (see above)
-    diag_ok = popov_ok and delta == [len(basis.rows[i][i]) - 1 for i in range(inst.m)]
+    diag_ok = popov_ok and delta == tuple(len(basis.rows[i][i]) - 1 for i in range(inst.m))
     degree_ok = (
         diag_ok
         and sum(delta) <= inst.sigma
@@ -308,7 +307,7 @@ def load_gs(path: str) -> GSProblem:
     try:
         return GSProblem(
             field,
-            int(data["num_y"]),
+            data["num_y"],
             tuple(tuple(g) for g in data["exponents"]),
             tuple((x, tuple(ys)) for x, ys in data["points"]),
             tuple(data["multiplicities"]),

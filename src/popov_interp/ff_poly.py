@@ -17,7 +17,14 @@ one synthetic division (Horner), one remainder per step.  Any other
 divisor takes the schoolbook loop, which reduces each coefficient once,
 when it leads and its quotient coefficient is read, or at the end if it
 is left in the remainder: Python integers do not overflow, so the
-subtractions in between need no remainder.
+subtractions in between need no remainder.  The linear branch pays:
+normalizing 20 order_basis_p97 weak bases (all 360 divisors linear) took
+0.51-0.57 ms per basis with it, 0.80-0.83 ms without (2-core x86 host).
+
+Every entry point reads caller-supplied integers through ``int_tuple``
+or ``residue_array``: Python integers of any size and numpy integers
+pass, and a bool, a float or anything else raises ValueError, where
+``int()`` or an int64 array would read another integer (2.9 as 2).
 
 The one Taylor shift is ``taylor_prefix``, ``a(X + x) mod X**n`` by n
 synthetic divisions by X - x: the list reference of the module action
@@ -32,7 +39,9 @@ wraps it by object identity, so each is its own ``def``, not an alias.
 from __future__ import annotations
 
 from math import comb
-from typing import List
+from typing import List, Tuple
+
+import numpy as np
 
 Poly = List[int]
 
@@ -70,6 +79,47 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _all_integers(values: list) -> bool:
+    return all(t is int or issubclass(t, np.integer) for t in set(map(type, values)))
+
+
+def int_tuple(values, error: str) -> Tuple[int, ...]:
+    """The values, Python or numpy integers, as Python ints; else ValueError(error)."""
+    values = list(values)
+    if not _all_integers(values):
+        raise ValueError(error)
+    return tuple(map(int, values))
+
+
+def residue_array(values, p: int, what: str, reduce: bool = True) -> np.ndarray:
+    """An integer array, or nested lists of integers of any size, as a new
+    int64 array of residues mod p; without ``reduce``, entries outside
+    [0, p) raise ValueError.  No dtype is inferred: numpy would read
+    [2**63, 1] as float64 and [True, 2] as int64.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        # uint64 past 2**63 would wrap in int64: reduce it first
+        a = (values % np.uint64(p) if values.dtype == np.uint64 else values).astype(np.int64)
+    else:
+        flat, shape = values, -1
+        if not isinstance(flat, list) or not _all_integers(flat):
+            nested = np.array(values, dtype=object)  # the shape, no dtype inferred
+            flat, shape = nested.ravel().tolist(), nested.shape
+            if not _all_integers(flat):
+                raise ValueError(f"{what} must be integers")
+        try:
+            a = np.fromiter(flat, np.int64, len(flat)).reshape(shape)
+        except OverflowError:  # beyond int64
+            if not reduce:
+                raise ValueError(f"{what} must be residues mod p") from None
+            a = np.fromiter((v % p for v in flat), np.int64, len(flat)).reshape(shape)
+    if reduce:
+        a %= p
+    elif a.size and (a.min() < 0 or a.max() >= p):
+        raise ValueError(f"{what} must be residues mod p")
+    return a
+
+
 class Modulus:
     """An odd prime modulus below 2**31.
 
@@ -81,8 +131,7 @@ class Modulus:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int):
-            raise ValueError("modulus must be an integer")
+        (p,) = int_tuple((p,), "modulus must be an integer")
         if not 2 < p < 2**31:
             raise ValueError("modulus must be an odd prime below 2**31")
         if not _is_prime(p):

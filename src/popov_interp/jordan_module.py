@@ -38,7 +38,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .ff_poly import Modulus, Poly, poly_mul_trunc, poly_trim, taylor_prefix
+from .ff_poly import Modulus, Poly, int_tuple, poly_mul_trunc, poly_trim, taylor_prefix
 from .polymat import PolyMat
 
 Block = Tuple[int, int]  # (eigenvalue, size)
@@ -52,13 +52,17 @@ class JordanSpec:
     Blocks may come in any order and eigenvalues may repeat anywhere:
     reordering the blocks together with the column blocks of E only
     reorders the constraints, so the module of interpolants is the same.
+    Eigenvalues and positive sizes are stored as Python ints (``int_tuple``).
     """
 
     blocks: Tuple[Block, ...]
 
     def __post_init__(self):
-        if any(type(n) is not int or n <= 0 for _, n in self.blocks):
+        xs = int_tuple((x for x, _ in self.blocks), "eigenvalues must be integers")
+        sizes = int_tuple((n for _, n in self.blocks), "block sizes must be positive integers")
+        if any(n <= 0 for n in sizes):
             raise ValueError("block sizes must be positive integers")
+        object.__setattr__(self, "blocks", tuple(zip(xs, sizes)))
 
     @cached_property
     def offsets(self) -> Tuple[int, ...]:
@@ -89,8 +93,8 @@ class JordanSpec:
             runs = runs["groups"]
         blocks = []
         for x, sizes in runs:
-            if type(x) is not int or any(type(n) is not int for n in sizes):
-                raise ValueError("eigenvalues and block sizes must be integers")
+            # checked before x is reduced: True % p is 1
+            x, *sizes = int_tuple((x, *sizes), "eigenvalues and block sizes must be integers")
             if not sizes:
                 raise ValueError("empty block run")
             blocks.extend((x % p, n) for n in sizes)

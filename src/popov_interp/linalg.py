@@ -18,13 +18,15 @@ from typing import Optional
 
 import numpy as np
 
+from .ff_poly import residue_array
+
 
 def as_matrix(rows, p: int) -> np.ndarray:
-    """The rows as a 2-D int64 array of residues; no rows is 0 x 0."""
-    a = np.array(rows, dtype=np.int64)
+    """The rows as a new 2-D int64 array of residues (``residue_array``); no rows is 0 x 0."""
+    a = residue_array(rows, p, "matrix entries")
     if a.ndim != 2:
         a = a.reshape(len(rows), -1 if a.size else 0)
-    return a % p
+    return a
 
 
 # the most terms matmul_mod sums before a remainder (see the module docstring)

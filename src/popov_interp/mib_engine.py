@@ -60,7 +60,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .ff_poly import Modulus, Poly
+from .ff_poly import Modulus, Poly, int_tuple, residue_array
 from .jordan_module import JordanSpec, column_action, residual
 from .polymat import PolyMat, matmul, weak_popov_to_popov
 
@@ -76,9 +76,9 @@ LEAF = 32
 class InterpInstance:
     """An interpolation problem: module rows E, Jordan data J, shift s.
 
-    E may be given as rows of integers of any size or as an integer
-    array; it is stored as a read-only ``(m, sigma)`` int64 array of
-    residues, and is not replaced afterwards.
+    E, rows of integers of any size or an integer array, is stored as a
+    read-only ``(m, sigma)`` int64 array of residues (``residue_array``),
+    and is not replaced afterwards; s as Python ints (``int_tuple``).
     """
 
     field: Modulus
@@ -87,22 +87,15 @@ class InterpInstance:
     shift: Tuple[int, ...]
 
     def __post_init__(self):
-        self.shift = tuple(int(v) for v in self.shift)
-        sigma = self.jordan.total
+        self.shift = int_tuple(self.shift, "shift entries must be integers")
         m = len(self.E)
         if m != len(self.shift):
             raise ValueError("shift length must equal the number of rows of E")
         if m == 0:
             raise ValueError("E needs at least one row")
-        p = self.field.p
-        try:
-            E = np.asarray(self.E, dtype=np.int64)
-        except OverflowError:
-            # beyond int64: reduce each entry first
-            E = np.array([[c % p for c in r] for r in self.E], dtype=np.int64)
-        if E.shape != (m, sigma):
+        E = residue_array(self.E, self.field.p, "E entries")
+        if E.shape != (m, self.jordan.total):
             raise ValueError("E columns do not match the Jordan matrix size")
-        E = E % p
         E.flags.writeable = False
         self.E = E
 
@@ -184,23 +177,18 @@ def interpolant_check(row: Sequence[Poly], inst: InterpInstance) -> bool:
     """True iff row . E vanishes under the module action.
 
     Computed from the definition ``p . E = sum_k p_k (X**k . E)``: the
-    row's coefficients, read mod p, entry j low degree first, times the
-    rows ``X**k . E_j`` gathered from ``inst.powers``, one exact
-    ``linalg.matmul_mod``.  Entries may be untrimmed, longer than sigma,
-    negative or beyond int64.  ``jordan_module.residual_direct``, the list
-    computation of the same action, is the reference the tests compare
-    this with.
+    row's coefficients, read mod p by ``ff_poly.residue_array``, entry j
+    low degree first, times the rows ``X**k . E_j`` gathered from
+    ``inst.powers``, one exact ``linalg.matmul_mod``.  Entries may be
+    untrimmed, longer than sigma, negative or beyond int64.
+    ``jordan_module.residual_direct``, the list computation of the same
+    action, is the reference the tests compare this with.
     """
     if len(row) != inst.m:
         raise ValueError("row length does not match the instance")
     p = inst.field.p
     lengths = [len(e) for e in row]
-    try:
-        c = np.fromiter(itertools.chain.from_iterable(row), np.int64, sum(lengths))
-    except OverflowError:
-        # beyond int64: reduce each coefficient first
-        c = np.array([v % p for e in row for v in e], dtype=np.int64)
-    c %= p
+    c = residue_array(list(itertools.chain.from_iterable(row)), p, "coefficients")
     return not linalg.matmul_mod(c[None], inst.powers.gather(lengths), p).any()
 
 
@@ -289,16 +277,15 @@ def iterative_weak_popov(inst: InterpInstance) -> Tuple[PolyMat, MinimalDegree]:
         w = row * (base[pos:end] - xs[pos])
         np.add(w[1:r], row[: r - 1], out=w[1:r], where=link[pos:])
         w[r + m :] += row[r:-m]
-        if m - col.count(0) > 1:
-            # eliminate the discrepancy from the other rows with the pivot
-            # row; the multiplier is 0 on the pivot and on rows already zero
-            inv = pow(col[pi], -1, p)
-            c = [v * inv % p for v in col]
-            c[pi] = 0
-            for i, v in enumerate(col):
-                if v and lens[i] < n:
-                    lens[i] = n
-            aug[:, pos:end] -= np.multiply.outer(np.array(c, dtype), row)
+        # eliminate the discrepancy from the other rows with the pivot
+        # row; the multiplier is 0 on the pivot and on rows already zero
+        inv = pow(col[pi], -1, p)
+        c = [v * inv % p for v in col]
+        c[pi] = 0
+        for i, v in enumerate(col):
+            if v and lens[i] < n:
+                lens[i] = n
+        aug[:, pos:end] -= np.multiply.outer(np.array(c, dtype), row)
         row[:] = w
         lens[pi] = n + 1
         sdeg[pi] += 1

@@ -30,11 +30,12 @@ from .ff_poly import (
     NEG_INF,
     Modulus,
     Poly,
+    int_tuple,
     poly_divrem,
     poly_mul,
     poly_scale,
     poly_sub,
-    poly_trim,
+    residue_array,
 )
 
 Shift = Tuple[int, ...]
@@ -53,39 +54,20 @@ class PolyMat:
     array on first access and cached.
 
     ``PolyMat(field, rows)`` packs rows of canonical residues, trimmed (as
-    ``from_rows`` makes them), raising ValueError on a coefficient outside
-    [0, p) or an entry ending in 0, and keeps them as the rows view, which
-    must not be mutated; ``from_coeffs`` stores an array.  Equality
-    compares the field and the array.
+    ``from_rows`` makes them), raising ValueError on a coefficient that is
+    not an integer in [0, p) or an entry ending in 0, and keeps them as
+    the rows view, which must not be mutated; ``from_coeffs`` stores an
+    array.  Equality compares the field and the array.
     """
 
     __slots__ = ("field", "nrows", "ncols", "coeffs", "lengths", "_rows")
 
     def __init__(self, field: Modulus, rows: List[List[Poly]]):
-        if not rows or not rows[0]:
-            raise ValueError("matrix dimensions must be at least 1 x 1")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("matrix rows have inconsistent lengths")
-        lengths = np.array([[len(e) for e in row] for row in rows], dtype=np.int64)
-        try:
-            flat = np.fromiter(
-                chain.from_iterable(chain.from_iterable(rows)),
-                dtype=np.int64,
-                count=int(lengths.sum()),
-            )
-        except OverflowError:
-            raise ValueError("coefficients must be residues mod p") from None
-        if len(flat):
-            if flat.min() < 0 or flat.max() >= field.p:
-                raise ValueError("coefficients must be residues mod p")
-            # the leading coefficient of each nonzero entry ends its run
-            ends = np.cumsum(lengths.ravel())
-            if not flat[ends[lengths.ravel() > 0] - 1].all():
-                raise ValueError("entries must have no trailing zero")
-        coeffs = np.zeros((len(rows), ncols, int(lengths.max())), dtype=np.int64)
-        # the rows' coefficients in C order fill the slots below each length
-        coeffs[np.arange(coeffs.shape[2]) < lengths[:, :, None]] = flat
+        coeffs, lengths = _pack(rows, field.p, reduce=False)
+        # the last coefficient of each nonzero entry, its leading one
+        nonzero = lengths > 0
+        if not coeffs[nonzero, lengths[nonzero] - 1].all():
+            raise ValueError("entries must have no trailing zero")
         self._store(field, coeffs, lengths)
         self._rows = rows
 
@@ -148,16 +130,33 @@ class PolyMat:
 
     @classmethod
     def from_rows(cls, field: Modulus, rows) -> "PolyMat":
-        p = field.p
-        return cls(field, [[poly_trim([c % p for c in e]) for e in row] for row in rows])
+        """The matrix of rows of integer coefficient lists, reduced mod p and trimmed."""
+        return cls.from_coeffs(field, _pack(rows, field.p, reduce=True)[0])
 
     def coefficient_count(self) -> int:
         """Number of field elements needed to store the matrix."""
         return int(self.lengths.sum())
 
 
+def _pack(rows, p: int, reduce: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """The coefficient array and entry lengths of rows of coefficient lists."""
+    if not rows or not rows[0]:
+        raise ValueError("matrix dimensions must be at least 1 x 1")
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("matrix rows have inconsistent lengths")
+    lengths = np.array([[len(e) for e in row] for row in rows], dtype=np.int64)
+    flat = list(chain.from_iterable(chain.from_iterable(rows)))
+    coeffs = np.zeros((len(rows), ncols, int(lengths.max())), dtype=np.int64)
+    # the rows' coefficients in C order fill the slots below each length
+    coeffs[np.arange(coeffs.shape[2]) < lengths[:, :, None]] = residue_array(
+        flat, p, "coefficients", reduce
+    )
+    return coeffs, lengths
+
+
 def _check_shift(ncols: int, s: Sequence[int]) -> Shift:
-    s = tuple(int(v) for v in s)
+    s = int_tuple(s, "shift entries must be integers")
     if len(s) != ncols:
         raise ValueError(f"shift length {len(s)} does not match {ncols} columns")
     return s

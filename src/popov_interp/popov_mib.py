@@ -61,6 +61,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import linalg, mib_engine
+from .ff_poly import int_tuple
 from .jordan_module import strided_powers
 from .mib_engine import InterpInstance, MinimalDegree, iterative_mib, minimal_interpolation_basis
 from .polymat import PolyMat, is_popov
@@ -87,10 +88,9 @@ def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
     sigma constraints.
 
     Every column is cut into chunks of ceil(sigma/m), at least 1 so that
-    sigma = 0 has a plan.  Each degree must be an integer, Python or
-    numpy but not a bool, else ValueError.  A minimal degree sums to the
-    colength, at most sigma, and a larger sum is an inconsistent minimal
-    degree, a ValueError.  So the plan has at most 2m chunks,
+    sigma = 0 has a plan.  The degrees are read by ``ff_poly.int_tuple``.
+    A minimal degree sums to the colength, at most sigma, and a larger sum
+    is an inconsistent minimal degree, a ValueError.  So the plan has at most 2m chunks,
     sum(mindeg)/chunk + m <= 2m, and the expanded shift is balanced, which
     keeps the rebuild's Mib within the paper's cost bound for any degree
     profile.
@@ -99,8 +99,7 @@ def build_expansion(mindeg: MinimalDegree, m: int, sigma: int) -> ExpansionPlan:
         raise ValueError("m must be at least 1")
     if len(mindeg) != m:
         raise ValueError("minimal degree length does not match m")
-    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in mindeg):
-        raise ValueError("minimal degrees must be integers")
+    mindeg = int_tuple(mindeg, "minimal degrees must be integers")
     if any(d < 0 for d in mindeg):
         raise ValueError("minimal degrees must be nonnegative")
     if sum(mindeg) > sigma:
@@ -126,7 +125,6 @@ def known_mindeg_mib(inst: InterpInstance, mindeg: MinimalDegree) -> PolyMat:
     p = field.p
     m = inst.m
     plan = build_expansion(mindeg, m, inst.sigma)  # checks mindeg first
-    mindeg = tuple(int(d) for d in mindeg)
 
     ebar = strided_powers(inst.E, inst.jordan, field, plan.alpha, plan.chunk)
     engine_shift = tuple(plan.chunk - d for d in plan.deltabar)

@@ -4,7 +4,18 @@ They share no code path with the engines: each works on ``PolyMat.rows``
 with the ``ff_poly`` list helpers.
 """
 
-from popov_interp.ff_poly import NEG_INF, Poly, poly_divrem, poly_mul, poly_sub, poly_trim
+from typing import Sequence
+
+from popov_interp.apps import GSProblem, _derivative_indices
+from popov_interp.ff_poly import (
+    NEG_INF,
+    Poly,
+    poly_divrem,
+    poly_mul,
+    poly_sub,
+    poly_trim,
+    taylor_prefix,
+)
 
 
 def poly_deg(a: Poly):
@@ -59,3 +70,46 @@ def determinant(m) -> Poly:
         prev = work[k][k]
     det = work[n - 1][n - 1]
     return det if sign == 1 else [(-c) % p for c in det]
+
+
+def q_vanishes_at(prob: GSProblem, row: Sequence[Poly], k: int) -> bool:
+    """Explicit multivariate check of one interpolation condition.
+
+    Reassembles Q = sum_gamma row[gamma] * Y**gamma, expands
+    Q(X + x_k, Y + y_k) below X-degree mu by brute force (products of the
+    shifted factors, no derivative shortcuts), and inspects every
+    coefficient whose exponent lies in the multiplicity support.
+    """
+    p = prob.field.p
+    r = prob.num_y
+    x, ys = prob.points[k]
+    mu = prob.multiplicities[k]
+
+    # coefficients of Q(X+x, Y+y): Y-exponent tuple -> X-polynomial
+    expanded: dict = {}
+    for ex, e in zip(prob.exponents, row):
+        if not e:
+            continue
+        px = taylor_prefix(e, x, mu, p)  # only X-degrees below mu are read
+        ypart = {(0,) * r: 1}  # running expansion of prod_i (Y_i + y_i)**g_i
+        for i, gi in enumerate(ex):
+            for _ in range(gi):
+                nxt: dict = {}
+                for b, c in ypart.items():
+                    up = b[:i] + (b[i] + 1,) + b[i + 1 :]
+                    nxt[up] = (nxt.get(up, 0) + c) % p
+                    nxt[b] = (nxt.get(b, 0) + c * ys[i]) % p
+                ypart = nxt
+        for b, c in ypart.items():
+            if c == 0:
+                continue
+            acc = expanded.setdefault(b, [])
+            acc.extend([0] * (len(px) - len(acc)))
+            for t, v in enumerate(px):
+                acc[t] = (acc[t] + c * v) % p
+
+    for b in _derivative_indices(mu, r):
+        acc = expanded.get(b, [])
+        if any(acc[: mu - sum(b)]):
+            return False
+    return True

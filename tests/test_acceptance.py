@@ -30,13 +30,13 @@ from popov_interp.apps import (
     ApproximantProblem,
     GSProblem,
     gs_instance,
-    q_vanishes_at,
     reduce_shift,
 )
 from popov_interp.cli import main as cli_main
 from popov_interp.ff_poly import poly_mul_trunc
 from popov_interp.linalg import inv_mod
 from popov_interp.popov_mib import build_expansion
+from reference import q_vanishes_at
 
 SEED = 0xC0FFEE
 PRIMES = (97, 998244353)

@@ -21,11 +21,10 @@ from popov_interp.apps import (
     approximant_instance,
     gs_instance,
     order_basis,
-    q_vanishes_at,
     reduce_shift,
 )
 from popov_interp.ff_poly import poly_mul, poly_mul_trunc, poly_trim, taylor_shift
-from reference import poly_add
+from reference import poly_add, q_vanishes_at
 
 F = Modulus(97)
 

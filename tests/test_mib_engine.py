@@ -21,6 +21,7 @@ from popov_interp import (
     popov_mib,
     weak_popov_to_popov,
 )
+from popov_interp.apps import GSProblem, gs_instance
 from popov_interp.jordan_module import residual
 from popov_interp.linalg import rank_mod
 from popov_interp.mib_engine import LEAF, iterative_weak_popov, split_leading
@@ -162,6 +163,40 @@ def test_elimination_state_at_the_int32_edge(p, dtype, blocks, monkeypatch):
     for bound in (0, sigma - 1, sigma, sigma + 1, sigma + 2, 2 * sigma + 1):
         want = sum(max(0, bound - s - d + 1) for s, d in zip(shift, delta))
         assert len(kernel_oracle(inst, bound)) == want
+
+
+@pytest.mark.parametrize("family", ["points", "pairs", "gs"])
+@pytest.mark.parametrize("sigma", [LEAF * 2, LEAF * 2 + 1])
+@pytest.mark.parametrize("p", [97, 4057, 4073, 998244353, 2**31 - 1])
+def test_a_new_eigenvalue_at_every_constraint(p, sigma, family):
+    # every benchmark workload has long runs of one eigenvalue; here the
+    # eigenvalue changes at every constraint: Hermite-Pade at distinct
+    # points with blocks of size 1 ("points") or 2 ("pairs"), and GS with
+    # multiplicity 1.  m = 2, so sigma = LEAF * m is one leaf and LEAF * m
+    # + 1 recurses, and 65 distinct points fit at p = 97.  The leaf's
+    # state is int32 at the first three primes, int64 past them.
+    m = 2
+    int32 = (2**31 - 1) // ((p - 1) ** 2 + p) - 2 >= sigma
+    assert int32 == (p <= 4073)
+    rng = random.Random(f"{p}-{sigma}-{family}")
+    field = Modulus(p)
+    if family == "gs":
+        points = tuple((x, (rng.randrange(p),)) for x in rng.sample(range(p), sigma))
+        prob = GSProblem(field, 1, ((0,), (1,)), points, (1,) * sigma, (rng.randint(0, 3),))
+        inst = gs_instance(prob)
+    else:
+        size = 1 if family == "points" else 2
+        sizes = [size] * (sigma // size) + [1] * (sigma % size)
+        jordan = JordanSpec(tuple(zip(rng.sample(range(p), len(sizes)), sizes)))
+        E = [[rng.randrange(p) for _ in range(sigma)] for _ in range(m)]
+        inst = InterpInstance(field, E, jordan, (0, rng.randint(0, sigma)))
+    assert len({x for x, _ in inst.jordan.blocks}) == len(inst.jordan.blocks)
+    basis, delta = popov_mib(inst)
+    assert (basis, delta) == iterative_mib(inst)
+    assert is_popov(basis, inst.shift)
+    assert all(interpolant_check(row, inst) for row in basis.rows)
+    # check's generation certificate
+    assert rank_mod(inst.powers.gather(delta), p) == sum(delta)
 
 
 def test_minimal_interpolation_basis(rng):

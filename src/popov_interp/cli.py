@@ -11,6 +11,17 @@ files included, are input errors.  So is any problem that its class
 when it is built, or a bad argument of ``bench`` or ``adversarial``; an
 error raised after that, in an encoder or an engine, is internal.
 
+The input rule lives in the library, not here: each key a command reads
+is read once, its integers by ``ff_poly.int_tuple`` (through ``Modulus``,
+``JordanSpec.from_json`` and the problem classes) and E, basis and F by
+``ff_poly.residue_array`` without reduction.  A bool, a float, a string,
+null, an object or a coefficient outside [0, p) is therefore an input
+error, and one read where an integer goes is named in the message.  Keys that no command reads, such as the
+``instance`` that ``gs-interp`` writes next to its basis or the ``p`` of
+a basis file (``check`` takes p from the instance), are ignored, and
+``jordan`` may be the older ``{"groups": runs}`` object that
+``JordanSpec.from_json`` reads.
+
 ``check`` rejects a basis entry of more than sigma + 1 coefficients as
 an input error before sizing anything by it.  No basis that passes is
 cut off: in an s-Popov basis each off-diagonal entry is shorter than the
@@ -42,7 +53,8 @@ import random
 import statistics
 import sys
 import time
-from typing import List, Optional, Tuple
+from itertools import chain
+from typing import List, Optional
 
 from . import linalg
 from .apps import (
@@ -53,7 +65,7 @@ from .apps import (
     gs_instance,
     order_basis,
 )
-from .ff_poly import Modulus, int_tuple
+from .ff_poly import Modulus, int_tuple, residue_array
 from .jordan_module import JordanSpec, standardize
 from .mib_engine import InterpInstance, interpolant_check, iterative_mib, minimal_interpolation_basis
 from .polymat import PolyMat, is_popov
@@ -83,21 +95,12 @@ def _check_size(m: int, sigma: int) -> None:
         raise InputError(f"m = {m}, sigma = {sigma}: m*m*(sigma+1) exceeds {MAX_CELLS}")
 
 
-def _load_json(path: str, keys: Tuple[str, ...]) -> dict:
-    """Read a JSON object whose values under ``keys``, the ones the caller
-    reads, are nested lists of integers.
-
-    Other values, such as the ``instance`` that ``gs-interp`` writes next
-    to its basis, may hold objects; no value anywhere may be a boolean, a
-    float or a string.
-    """
+def _load_json(path: str) -> dict:
+    """Read a JSON object; its values are read by the caller, through the library."""
     # ValueError: not UTF-8, not JSON or past the digit limit; RecursionError: too deep
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if isinstance(data, dict):
-            for key, value in data.items():
-                _check_integers(value, path, key not in keys)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -105,33 +108,15 @@ def _load_json(path: str, keys: Tuple[str, ...]) -> dict:
     return data
 
 
-def _check_integers(value, path: str, objects: bool) -> None:
-    """Reject every boolean, float and string in a JSON value, and every
-    object unless ``objects``; object keys stay strings.
+def _residue_rows(field: Modulus, rows, what: str) -> PolyMat:
+    """Rows of coefficient lists, every coefficient a residue in [0, p), as a matrix.
 
-    They would otherwise pass as integers (``true`` as 1, ``"3"`` through
-    ``int()``, ``{"3": 0}`` as its keys) or be truncated where they are
-    packed into int64 arrays.
+    Each entry is read by ``residue_array``, which refuses anything else;
+    ``from_rows`` alone would reduce any integer, reading 98 at p = 97 as 1.
     """
-    if isinstance(value, (bool, float, str)) or isinstance(value, dict) and not objects:
-        raise InputError(f"{path}: {json.dumps(value)} is not an integer")
-    if isinstance(value, (list, dict)):
-        for v in value.values() if isinstance(value, dict) else value:
-            _check_integers(v, path, objects)
-
-
-def _check_residues(value, p: int, what: str) -> None:
-    """Reject every entry of a nested list that is not a residue in [0, p).
-
-    E, basis and F coefficients are residues; the library would reduce
-    any other integer silently, so a 98 at p = 97 would be read as 1.
-    It runs after ``_check_integers``, which leaves integers and null.
-    """
-    if isinstance(value, list):
-        for v in value:
-            _check_residues(v, p, what)
-    elif value is None or not 0 <= value < p:
-        raise ValueError(f"{what} entries must be residues in [0, p)")
+    for entry in chain.from_iterable(rows):
+        residue_array(entry, field.p, what, reduce=False)
+    return PolyMat.from_rows(field, rows)
 
 
 def _field_of(data: dict) -> Modulus:
@@ -142,14 +127,14 @@ def _field_of(data: dict) -> Modulus:
 
 
 def load_instance(path: str) -> InterpInstance:
-    """Parse {"p", "m", "jordan", "E", "shift"} into an instance."""
-    data = _load_json(path, ("p", "m", "jordan", "E", "shift"))
+    """Parse {"p", "m", "jordan", "E", "shift"} into an instance; "m" may be left out."""
+    data = _load_json(path)
     field = _field_of(data)
     try:
-        _check_residues(data["E"], field.p, "E")
+        E = residue_array(data["E"], field.p, "E entries", reduce=False)
         jordan = JordanSpec.from_json(data["jordan"], field.p)
-        inst = InterpInstance(field, data["E"], jordan, tuple(data["shift"]))
-        if inst.m != data.get("m", inst.m):
+        inst = InterpInstance(field, E, jordan, data["shift"])
+        if int_tuple((data.get("m", inst.m),), "m must be an integer") != (inst.m,):
             raise ValueError("m does not match the number of rows of E")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad instance file {path}: {exc}") from exc
@@ -175,8 +160,7 @@ def basis_to_json(basis: PolyMat, delta) -> dict:
     }
 
 
-def _write_out(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload)
+def _write_out(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -196,19 +180,18 @@ def cmd_solve(args) -> int:
         if mindeg != delta or known_mindeg_mib(inst, mindeg) != basis:
             print("engine mismatch: known-degree and iterative outputs differ", file=sys.stderr)
             return CHECK_FAILED
-    _write_out(basis_to_json(basis, delta), args.out)
+    _write_out(json.dumps(basis_to_json(basis, delta)), args.out)
     return OK
 
 
 def cmd_check(args) -> int:
     inst = load_instance(args.instance)
-    data = _load_json(args.basis, ("basis", "delta"))
+    data = _load_json(args.basis)
     try:
-        _check_residues(data["basis"], inst.field.p, "basis")
         longest = inst.sigma + 1
         if any(len(e) > longest for row in data["basis"] for e in row):
             raise ValueError(f"basis entries must have at most sigma + 1 = {longest} coefficients")
-        basis = PolyMat.from_rows(inst.field, data["basis"])
+        basis = _residue_rows(inst.field, data["basis"], "basis entries")
         delta = int_tuple(data["delta"], "delta entries must be integers")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad basis file {args.basis}: {exc}") from exc
@@ -273,22 +256,16 @@ def cmd_bench(args) -> int:
                 solver(inst)
                 times.append((time.perf_counter() - start) * 1000.0)
             lines.append(f"{engine},{args.m},{sigma},{statistics.median(times):.3f}")
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_out("\n".join(lines), args.out)
     return OK
 
 
 def load_approximant(path: str) -> ApproximantProblem:
-    data = _load_json(path, ("p", "F", "orders", "shift"))
+    data = _load_json(path)
     field = _field_of(data)
     try:
-        _check_residues(data["F"], field.p, "F")
-        fmat = PolyMat.from_rows(field, data["F"])
-        return ApproximantProblem(field, fmat, tuple(data["orders"]), tuple(data["shift"]))
+        fmat = _residue_rows(field, data["F"], "F entries")
+        return ApproximantProblem(field, fmat, data["orders"], data["shift"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad approximant file {path}: {exc}") from exc
 
@@ -297,22 +274,16 @@ def cmd_order_basis(args) -> int:
     prob = load_approximant(args.problem)
     _check_size(prob.F.nrows, sum(prob.orders))
     basis, delta = order_basis(prob)
-    _write_out(basis_to_json(basis, delta), args.out)
+    _write_out(json.dumps(basis_to_json(basis, delta)), args.out)
     return OK
 
 
 def load_gs(path: str) -> GSProblem:
-    data = _load_json(path, ("p", "num_y", "exponents", "points", "multiplicities", "weights"))
+    data = _load_json(path)
     field = _field_of(data)
     try:
-        return GSProblem(
-            field,
-            data["num_y"],
-            tuple(tuple(g) for g in data["exponents"]),
-            tuple((x, tuple(ys)) for x, ys in data["points"]),
-            tuple(data["multiplicities"]),
-            tuple(data["weights"]),
-        )
+        keys = ("num_y", "exponents", "points", "multiplicities", "weights")
+        return GSProblem(field, *(data[k] for k in keys))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad interpolation file {path}: {exc}") from exc
 
@@ -324,7 +295,7 @@ def cmd_gs_interp(args) -> int:
     basis, delta = popov_mib(inst)
     payload = basis_to_json(basis, delta)
     payload["instance"] = instance_to_json(inst)
-    _write_out(payload, args.out)
+    _write_out(json.dumps(payload), args.out)
     return OK
 
 
@@ -344,7 +315,7 @@ def cmd_adversarial(args) -> int:
         "shift": list(prob.shift),
     }
     payload["instance"] = instance_to_json(approximant_instance(prob))
-    _write_out(payload, args.out)
+    _write_out(json.dumps(payload), args.out)
     return OK
 
 

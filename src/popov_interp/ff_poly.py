@@ -23,8 +23,9 @@ normalizing 20 order_basis_p97 weak bases (all 360 divisors linear) took
 
 Every entry point reads caller-supplied integers through ``int_tuple``
 or ``residue_array``: Python integers of any size and numpy integers
-pass, and a bool, a float or anything else raises ValueError, where
-``int()`` or an int64 array would read another integer (2.9 as 2).
+pass, and a bool, a float, a dict or anything else raises a ValueError
+that names it, where ``int()`` or an int64 array would read another
+integer (2.9 as 2) and ``list()`` a dict's keys.
 
 The one Taylor shift is ``taylor_prefix``, ``a(X + x) mod X**n`` by n
 synthetic divisions by X - x: the list reference of the module action
@@ -38,6 +39,7 @@ wraps it by object identity, so each is its own ``def``, not an alias.
 
 from __future__ import annotations
 
+import reprlib
 from math import comb
 from typing import List, Tuple
 
@@ -83,11 +85,25 @@ def _all_integers(values: list) -> bool:
     return all(t is int or issubclass(t, np.integer) for t in set(map(type, values)))
 
 
+def _not_integer(error: str, values: list) -> ValueError:
+    """The error, naming the first of the values that is not an integer."""
+    bad = next(v for v in values if not _all_integers([v]))
+    return ValueError(f"{error}: {reprlib.repr(bad)} is not an integer")
+
+
+def _not_residue(what: str, p: int, values: list) -> ValueError:
+    """The error, naming the first of the integers that is not in [0, p)."""
+    bad = next(v for v in values if not 0 <= v < p)
+    return ValueError(f"{what} must be residues in [0, p), p = {p}: {bad} is not")
+
+
 def int_tuple(values, error: str) -> Tuple[int, ...]:
-    """The values, Python or numpy integers, as Python ints; else ValueError(error)."""
-    values = list(values)
+    """The values, Python or numpy integers, as Python ints; else ValueError
+    (error, then the first value that is not an integer).  A dict is such a
+    value, not read as its keys."""
+    values = [values] if isinstance(values, dict) else list(values)
     if not _all_integers(values):
-        raise ValueError(error)
+        raise _not_integer(error, values)
     return tuple(map(int, values))
 
 
@@ -95,7 +111,8 @@ def residue_array(values, p: int, what: str, reduce: bool = True) -> np.ndarray:
     """An integer array, or nested lists of integers of any size, as a new
     int64 array of residues mod p; without ``reduce``, entries outside
     [0, p) raise ValueError.  No dtype is inferred: numpy would read
-    [2**63, 1] as float64 and [True, 2] as int64.
+    [2**63, 1] as float64 and [True, 2] as int64.  Nested lists must be
+    rectangular: rows of unequal length raise ValueError as such.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         # uint64 past 2**63 would wrap in int64: reduce it first
@@ -106,17 +123,20 @@ def residue_array(values, p: int, what: str, reduce: bool = True) -> np.ndarray:
             nested = np.array(values, dtype=object)  # the shape, no dtype inferred
             flat, shape = nested.ravel().tolist(), nested.shape
             if not _all_integers(flat):
-                raise ValueError(f"{what} must be integers")
+                # numpy keeps rows of unequal length as its entries
+                if all(isinstance(v, (list, tuple, np.ndarray)) for v in flat):
+                    raise ValueError(f"{what} must have rows of equal length")
+                raise _not_integer(f"{what} must be integers", flat)
         try:
             a = np.fromiter(flat, np.int64, len(flat)).reshape(shape)
         except OverflowError:  # beyond int64
             if not reduce:
-                raise ValueError(f"{what} must be residues mod p") from None
+                raise _not_residue(what, p, flat) from None
             a = np.fromiter((v % p for v in flat), np.int64, len(flat)).reshape(shape)
     if reduce:
         a %= p
     elif a.size and (a.min() < 0 or a.max() >= p):
-        raise ValueError(f"{what} must be residues mod p")
+        raise _not_residue(what, p, a.ravel().tolist())
     return a
 
 

@@ -107,13 +107,16 @@ def standardize(blocks: Iterable[Block], rows) -> Tuple[JordanSpec, np.ndarray]:
     Blocks group by eigenvalue, sizes sort non-increasing within a group,
     groups sort by non-increasing count with ties broken by ascending
     eigenvalue; the same block permutation is applied to the column
-    blocks of the given module rows, which come back as an array.  The
-    engines accept any block order, so this is only a canonical one.
+    blocks of the given module rows, which come back as an object array
+    of the given integers: no dtype is inferred, so 2**63 stays an integer
+    and a bool raises ValueError.  The engines accept any block order, so this
+    is only a canonical one.
     """
     spec = JordanSpec(tuple(blocks))
-    rows = np.asarray(rows)
+    rows = np.array(rows, dtype=object)
     if rows.shape != (len(rows), spec.total):
         raise ValueError("module rows do not match the block sizes")
+    int_tuple(rows.ravel(), "module rows must be integers")
     blocks = spec.blocks
     count = Counter(x for x, _ in blocks)
     order = sorted(

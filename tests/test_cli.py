@@ -188,9 +188,19 @@ GS = {"p": 97, "num_y": 1, "exponents": [[0], [1]], "points": [[0, [1]]],
     ("solve", {"p": 97, "m": 2, "jordan": [[0, {"1": 0}]], "E": [[1], [1]], "shift": [0, 0]}),
     ("check", {"p": 97, "basis": [[[0, 1], []], [[96], [1]]], "delta": {"1": 0, "0": 0}}),
     ("gs-interp", {**GS, "weights": {"0": 1}}),
+    # 2.0 == 2 and True == 1 compare equal to the row count
+    ("solve", {"p": 97, "m": 2.0, "jordan": [[0, [1]]], "E": [[1], [1]], "shift": [0, 0]}),
+    ("solve", {"p": 97, "m": True, "jordan": [[0, [1]]], "E": [[1]], "shift": [0]}),
+    # empty objects: read as their keys, each would be an empty list
+    ("check", {"p": 97, "basis": [[[0, 1], {}], [[96], [1]]], "delta": [1, 0]}),
+    ("check", {"p": 97, "basis": [[[0, 1], []], [[96], [1]]], "delta": {}}),
+    ("order-basis", {"p": 97, "F": [[{}], [[1]]], "orders": [2], "shift": [0, 0]}),
+    ("gs-interp", {**GS, "multiplicities": {}, "points": []}),
 ], ids=["solve-E", "solve-shift", "check-basis", "order-basis", "gs-point", "gs-multiplicity",
         "check-delta", "order-basis-orders", "gs-num_y", "gs-exponent-object", "gs-point-object",
-        "solve-jordan-object", "check-delta-object", "gs-weights-object"])
+        "solve-jordan-object", "check-delta-object", "gs-weights-object", "solve-m-float",
+        "solve-m-bool", "check-basis-empty-object", "check-delta-empty-object",
+        "order-basis-empty-object", "gs-multiplicities-empty-object"])
 def test_loaders_reject_floats_and_booleans(command, payload, instance_file, tmp_path, capsys):
     # each would otherwise be read as an integer (a string through int(),
     # an object as its keys), truncated, or fail inside
@@ -212,6 +222,29 @@ def test_loaders_reject_non_residues(command, payload, instance_file, tmp_path, 
     args = [command, str(instance_file), str(path)] if command == "check" else [command, str(path)]
     assert main(args) == 1
     assert "must be residues in [0, p)" in capsys.readouterr().err
+
+
+def test_loaders_name_ragged_rows(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"p": 97, "m": 2, "jordan": [[0, [2]]], "E": [[1, 2], [3]], "shift": [0, 0]}))
+    assert main(["solve", str(path)]) == 1
+    assert "E entries must have rows of equal length" in capsys.readouterr().err
+
+
+def test_unread_keys_are_ignored(instance_file, tmp_path, capsys):
+    # the library reads the keys a command needs; the rest are not inspected
+    assert main(["solve", str(instance_file)]) == 0
+    want = capsys.readouterr().out
+    payload = json.loads(instance_file.read_text())
+    for note in (1.5, True, "text", None, {"x": [1.5]}):
+        path = tmp_path / "noted.json"
+        path.write_text(json.dumps({**payload, "note": note}))
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out == want
+    # and jordan may be the older {"groups": runs} object
+    path.write_text(json.dumps({**payload, "jordan": {"groups": payload["jordan"]}}))
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_loaders_reject_non_object_json(tmp_path, capsys):

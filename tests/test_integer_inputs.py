@@ -4,6 +4,8 @@ are read as themselves, and a bool, a float or anything else raises
 ValueError where ``int()`` or an int64 array would read another integer.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from popov_interp import (
     iterative_mib,
     popov_mib,
     shifted_row_degree,
+    standardize,
 )
 from popov_interp.apps import ApproximantProblem, GSProblem, gs_instance, order_basis, reduce_shift
 from popov_interp.ff_poly import int_tuple, residue_array
@@ -34,9 +37,14 @@ def test_int_tuple_reads_python_and_numpy_integers():
     assert out == (0, -3, 2**70, -5, 7, 2**64 - 1)
     assert all(type(v) is int for v in out)
     assert int_tuple(iter([1, 2]), "bad") == (1, 2) and int_tuple([], "bad") == ()
-    for bad in (True, np.bool_(True), 1.0, np.float64(2), "3", None, [1], 1 + 0j):
-        with pytest.raises(ValueError, match="^bad$"):
-            int_tuple((1, bad), "bad")
+    # a dict is one value, not its keys: {} would read as ()
+    for bad in ({}, {3: 0}):
+        with pytest.raises(ValueError, match=f"^bad: {re.escape(repr(bad))} is not an integer$"):
+            int_tuple(bad, "bad")
+    for bad in (True, np.bool_(True), 1.0, np.float64(2), "3", None, [1], 1 + 0j, {}):
+        # the message names the first value that is not an integer
+        with pytest.raises(ValueError, match=f"^bad: {re.escape(repr(bad))} is not an integer$"):
+            int_tuple((1, bad, 2.5), "bad")
 
 
 def test_residue_array_reads_integers_of_any_size():
@@ -71,10 +79,40 @@ def test_residue_array_refuses_non_integers(bad):
         residue_array(bad, 97, "coefficients")
 
 
+def test_residue_array_names_the_fault():
+    with pytest.raises(ValueError, match="^E entries must be integers: 1.5 is not an integer$"):
+        residue_array([[1, 2], [1.5, 3]], 97, "E entries")
+    # rows of unequal length are ragged, not entries that are no integers
+    for ragged in ([[1, 2], [3]], [[], [1]], [[[1, 2]], [[3]]], ((1, 2), (3,))):
+        with pytest.raises(ValueError, match="^E entries must have rows of equal length$"):
+            residue_array(ragged, 97, "E entries")
+    with pytest.raises(ValueError, match="E entries must have rows of equal length"):
+        InterpInstance(F, [[1, 2], [3]], J, (0, 1))
+
+
+def test_standardize_infers_no_dtype():
+    # numpy read [[2**63, 1]] as float64 and [[True, 2]] as [[1, 2]]
+    spec, rows = standardize([(0, 2)], [[2**63, 1]])
+    assert rows.tolist() == [[2**63, 1]]
+    assert InterpInstance(F, rows, spec, (0,)).E.tolist() == [[2**63 % 97, 1]]
+    for bad in ([[True, 2]], [[1.0, 2]], [[1, "2"]]):
+        with pytest.raises(ValueError, match="module rows must be integers"):
+            standardize([(0, 2)], bad)
+    # lists and int64 arrays give the same instance, as the bench builds it
+    blocks = [(5, 1), (0, 2), (5, 2)]
+    raw = [[7, 1, 2, 3, 4], [9, 8, 96, 0, 50]]
+    want = ((5, 2), (5, 1), (0, 2))
+    for given in (raw, np.array(raw), np.array(raw, dtype=np.int32)):
+        spec, rows = standardize(blocks, given)
+        assert spec.blocks == want and rows.tolist() == [[3, 4, 7, 1, 2], [0, 50, 9, 8, 96]]
+        inst = InterpInstance(F, rows, spec, (0, 1))
+        assert inst.E.dtype == np.int64 and inst.E.tolist() == rows.tolist()
+
+
 def test_residue_array_without_reduce_refuses_non_residues():
     assert residue_array([0, 96], 97, "c", reduce=False).tolist() == [0, 96]
     for bad in (97, -1, 2**63, -(2**70)):
-        with pytest.raises(ValueError, match="c must be residues mod p"):
+        with pytest.raises(ValueError, match=rf"c must be residues in \[0, p\), p = 97: {bad} is not$"):
             residue_array([1, bad], 97, "c", reduce=False)
 
 

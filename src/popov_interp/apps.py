@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ff_poly import Modulus, Poly, int_tuple, poly_trim
+from .ff_poly import Modulus, Poly, as_list, int_tuple, poly_trim
 from .jordan_module import JordanSpec
 from .mib_engine import InterpInstance, MinimalDegree
 from .polymat import PolyMat
@@ -66,8 +66,9 @@ class GSProblem:
     set).  ``multiplicities`` holds one positive integer mu per point,
     whose support is the triangular {(a, b) : a + |b| < mu}.  Points are
     distinct, each with num_y Y-coordinates, which are stored reduced mod
-    p.  Every integer is read by ``ff_poly.int_tuple``, and every check is
-    made here, so the encoders below read a valid problem.
+    p.  Every integer is read by ``ff_poly.int_tuple`` and the lists of
+    exponents and points by ``as_list``; every check is made here, so the
+    encoders below read a valid problem.
     """
 
     field: Modulus
@@ -80,11 +81,13 @@ class GSProblem:
     def __post_init__(self):
         p = self.field.p
         (self.num_y,) = int_tuple((self.num_y,), "num_y must be an integer")
-        self.exponents = tuple(int_tuple(ex, "exponents must be integers") for ex in self.exponents)
+        exponents = as_list(self.exponents)
+        self.exponents = tuple(int_tuple(ex, "exponents must be integers") for ex in exponents)
         self.weights = int_tuple(self.weights, "weights must be integers")
         positive = "multiplicities must be positive integers"
         self.multiplicities = int_tuple(self.multiplicities, positive)
-        points = (int_tuple((x, *ys), "coordinates must be integers") for x, ys in self.points)
+        coords = "coordinates must be integers"
+        points = (int_tuple((x, *ys), coords) for x, ys in as_list(self.points))
         self.points = tuple((x % p, tuple(y % p for y in ys)) for x, *ys in points)
         r = self.num_y
         if r < 1:

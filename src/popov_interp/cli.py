@@ -16,11 +16,12 @@ is read once, its integers by ``ff_poly.int_tuple`` (through ``Modulus``,
 ``JordanSpec.from_json`` and the problem classes) and E, basis and F by
 ``ff_poly.residue_array`` without reduction.  A bool, a float, a string,
 null, an object or a coefficient outside [0, p) is therefore an input
-error, and one read where an integer goes is named in the message.  Keys that no command reads, such as the
-``instance`` that ``gs-interp`` writes next to its basis or the ``p`` of
-a basis file (``check`` takes p from the instance), are ignored, and
-``jordan`` may be the older ``{"groups": runs}`` object that
-``JordanSpec.from_json`` reads.
+error, and one read where an integer goes is named in the message.  An
+object where a list goes is an input error too, ``jordan`` given as the
+``{"groups": runs}`` object that ``JordanSpec.from_json`` reads included.
+Keys that no command reads, such as the ``instance`` that ``gs-interp``
+writes next to its basis or the ``p`` of a basis file (``check`` takes p
+from the instance), are ignored.
 
 ``check`` rejects a basis entry of more than sigma + 1 coefficients as
 an input error before sizing anything by it.  No basis that passes is
@@ -132,6 +133,8 @@ def load_instance(path: str) -> InterpInstance:
     field = _field_of(data)
     try:
         E = residue_array(data["E"], field.p, "E entries", reduce=False)
+        if isinstance(data["jordan"], dict):  # from_json reads it as the older wrapper
+            raise ValueError("jordan must be a list of runs, not an object")
         jordan = JordanSpec.from_json(data["jordan"], field.p)
         inst = InterpInstance(field, E, jordan, data["shift"])
         if int_tuple((data.get("m", inst.m),), "m must be an integer") != (inst.m,):

@@ -25,7 +25,8 @@ Every entry point reads caller-supplied integers through ``int_tuple``
 or ``residue_array``: Python integers of any size and numpy integers
 pass, and a bool, a float, a dict or anything else raises a ValueError
 that names it, where ``int()`` or an int64 array would read another
-integer (2.9 as 2) and ``list()`` a dict's keys.
+integer (2.9 as 2) and ``list()`` a dict's keys: ``as_list``, which
+``int_tuple`` and ``GSProblem``'s lists use, takes a dict for one value.
 
 The one Taylor shift is ``taylor_prefix``, ``a(X + x) mod X**n`` by n
 synthetic divisions by X - x: the list reference of the module action
@@ -97,11 +98,14 @@ def _not_residue(what: str, p: int, values: list) -> ValueError:
     return ValueError(f"{what} must be residues in [0, p), p = {p}: {bad} is not")
 
 
+def as_list(values) -> list:
+    """The values as a list; a dict is one value, not read as its keys."""
+    return [values] if isinstance(values, dict) else list(values)
+
+
 def int_tuple(values, error: str) -> Tuple[int, ...]:
-    """The values, Python or numpy integers, as Python ints; else ValueError
-    (error, then the first value that is not an integer).  A dict is such a
-    value, not read as its keys."""
-    values = [values] if isinstance(values, dict) else list(values)
+    """Python or numpy integers as Python ints; else ValueError(error) naming the first other."""
+    values = as_list(values)
     if not _all_integers(values):
         raise _not_integer(error, values)
     return tuple(map(int, values))

@@ -196,11 +196,13 @@ GS = {"p": 97, "num_y": 1, "exponents": [[0], [1]], "points": [[0, [1]]],
     ("check", {"p": 97, "basis": [[[0, 1], []], [[96], [1]]], "delta": {}}),
     ("order-basis", {"p": 97, "F": [[{}], [[1]]], "orders": [2], "shift": [0, 0]}),
     ("gs-interp", {**GS, "multiplicities": {}, "points": []}),
+    ("gs-interp", {**GS, "exponents": {}}),
 ], ids=["solve-E", "solve-shift", "check-basis", "order-basis", "gs-point", "gs-multiplicity",
         "check-delta", "order-basis-orders", "gs-num_y", "gs-exponent-object", "gs-point-object",
         "solve-jordan-object", "check-delta-object", "gs-weights-object", "solve-m-float",
         "solve-m-bool", "check-basis-empty-object", "check-delta-empty-object",
-        "order-basis-empty-object", "gs-multiplicities-empty-object"])
+        "order-basis-empty-object", "gs-multiplicities-empty-object",
+        "gs-exponents-empty-object"])
 def test_loaders_reject_floats_and_booleans(command, payload, instance_file, tmp_path, capsys):
     # each would otherwise be read as an integer (a string through int(),
     # an object as its keys), truncated, or fail inside
@@ -241,10 +243,19 @@ def test_unread_keys_are_ignored(instance_file, tmp_path, capsys):
         path.write_text(json.dumps({**payload, "note": note}))
         assert main(["solve", str(path)]) == 0
         assert capsys.readouterr().out == want
-    # and jordan may be the older {"groups": runs} object
+
+
+def test_loaders_reject_objects_where_lists_go(instance_file, tmp_path, capsys):
+    # read as its keys, {} would be the zero-point problem and exit 0
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**GS, "points": {}, "multiplicities": []}))
+    assert main(["gs-interp", str(path)]) == 1
+    assert "error: bad interpolation file" in capsys.readouterr().err
+    # the older {"groups": runs} form of jordan is no file format
+    payload = json.loads(instance_file.read_text())
     path.write_text(json.dumps({**payload, "jordan": {"groups": payload["jordan"]}}))
-    assert main(["solve", str(path)]) == 0
-    assert capsys.readouterr().out == want
+    assert main(["solve", str(path)]) == 1
+    assert "jordan must be a list of runs" in capsys.readouterr().err
 
 
 def test_loaders_reject_non_object_json(tmp_path, capsys):

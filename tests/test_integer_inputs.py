@@ -24,7 +24,7 @@ from popov_interp import (
     standardize,
 )
 from popov_interp.apps import ApproximantProblem, GSProblem, gs_instance, order_basis, reduce_shift
-from popov_interp.ff_poly import int_tuple, residue_array
+from popov_interp.ff_poly import as_list, int_tuple, residue_array
 from popov_interp.linalg import as_matrix, rank_mod
 
 F = Modulus(97)
@@ -38,6 +38,7 @@ def test_int_tuple_reads_python_and_numpy_integers():
     assert all(type(v) is int for v in out)
     assert int_tuple(iter([1, 2]), "bad") == (1, 2) and int_tuple([], "bad") == ()
     # a dict is one value, not its keys: {} would read as ()
+    assert as_list({}) == [{}] and as_list((1, 2)) == [1, 2]
     for bad in ({}, {3: 0}):
         with pytest.raises(ValueError, match=f"^bad: {re.escape(repr(bad))} is not an integer$"):
             int_tuple(bad, "bad")
@@ -207,6 +208,11 @@ def test_gs_problem_refuses_float_exponents_and_weights():
     for num_y in (1.0, True, [1]):
         with pytest.raises(ValueError, match="num_y must be an integer"):
             GSProblem(F, num_y, ((0,), (1,)), points, (2, 2), (1,))
+    # an object where a list goes is one malformed value, not an empty list
+    with pytest.raises(ValueError, match="exponents must be integers: {} is not"):
+        GSProblem(F, 1, {}, points, (2, 2), (1,))
+    with pytest.raises(ValueError):
+        GSProblem(F, 1, ((0,), (1,)), {}, (), (1,))
     ref = GSProblem(F, 1, ((0,), (1,)), points, (2, 2), (1,))
     prob = GSProblem(
         F,
